@@ -358,36 +358,6 @@ def evaluate_pair_bound(
     )
 
 
-def scan_pairs(
-    pairs: list[tuple[str, str]],
-    bound_ids: list[str],
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> list[dict[str, str]]:
-    """Evaluate named bounds over family-spec pairs, one row per evaluation.
-
-    Rows carry ``bound_id, pair, lhs, rhs, verdict`` in that order, ready
-    for CSV emission.
-    """
-    from .families import build_family
-
-    rows = []
-    for left_spec, right_spec in pairs:
-        left = build_family(left_spec)
-        right = build_family(right_spec)
-        for bound_id in bound_ids:
-            report = evaluate_pair_bound(bound_id, left, right, limits)[0]
-            rows.append(
-                {
-                    "bound_id": report.bound_id,
-                    "pair": f"{left_spec} x {right_spec}",
-                    "lhs": "" if report.lhs is None else str(report.lhs),
-                    "rhs": "" if report.rhs is None else str(report.rhs),
-                    "verdict": report.verdict(),
-                }
-            )
-    return rows
-
-
 def parse_pair_manifest(text: str) -> list[tuple[str, str]]:
     """Parse a manifest with one whitespace-separated family-spec pair per line."""
     pairs = []

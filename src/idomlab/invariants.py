@@ -141,13 +141,29 @@ PREDICATES = {
 
 
 # ---------------------------------------------------------------------------
-# Minimum maximal independent set (independent domination number)
+# The cover kernel: independent domination, domination, total domination
 # ---------------------------------------------------------------------------
 #
-# Branch on the lowest-index undecided vertex with states "in the set" and
-# "excluded, must eventually be dominated".  Dead branches are cut by the
-# lower bound |S| + ceil(undominated / (max degree + 1)) and by forcing the
-# single remaining candidate of any undominated vertex into the set.
+# Picking vertex ``v`` covers ``coverage[v]`` and rejects ``conflict[v]``; an
+# uncovered vertex ``u`` can only be covered by members of ``chooser[u]``.
+# Propagation forces the single remaining option of any uncovered vertex, and
+# a forced vertex that conflicts with the chosen set ends the branch.  Dead
+# branches are also cut by the bound |chosen| + ceil(uncovered / largest
+# coverage).  For i the rows are (closed, closed, adj); for gamma (closed,
+# closed, none); for gamma_t (adj, adj, none).
+#
+# One pass yields both the optimum and its lexicographically least witness,
+# and the maximum independent set search and labelling.minimize_weight rely
+# on the same four conditions:
+#   1. the search branches on the lowest-index undecided vertex;
+#   2. it tries "in" before "out", so optima of equal size are reached in
+#      lexicographic order of their sorted members;
+#   3. it prunes strictly (bound >= best), so no subtree holding an optimum
+#      is cut before the first optimum is reached;
+#   4. ``best`` starts at a known feasible size + 1, so an optimum of exactly
+#      that size is still reached in order.
+# Every leaf that improves ``best`` is recorded; the first optimum reached is
+# the least one, and no later leaf improves on it.
 
 
 def _greedy_maximal_independent(adj: tuple[int, ...], n: int) -> int:
@@ -160,101 +176,81 @@ def _greedy_maximal_independent(adj: tuple[int, ...], n: int) -> int:
     return chosen
 
 
-def _propagate_mis(
-    adj: tuple[int, ...],
-    closed: tuple[int, ...],
+def _propagate(
+    coverage: tuple[int, ...],
+    chooser: tuple[int, ...],
+    conflict: tuple[int, ...],
     full: int,
-    in_set: int,
-    excluded: int,
-    dominated: int,
+    chosen: int,
+    rejected: int,
+    covered: int,
 ) -> Optional[tuple[int, int, int]]:
-    """Force unique dominators; return ``None`` on a dead branch."""
+    """Force unique options; return ``None`` on a dead branch."""
     while True:
-        undecided = full & ~in_set & ~excluded
+        undecided = full & ~chosen & ~rejected
         forced = 0
-        scan = full & ~dominated
+        scan = full & ~covered
         while scan:
             low = scan & -scan
-            v = low.bit_length() - 1
+            u = low.bit_length() - 1
             scan ^= low
-            candidates = closed[v] & undecided
-            if candidates == 0:
+            options = chooser[u] & undecided
+            if options == 0:
                 return None
-            if candidates & (candidates - 1) == 0:
-                forced |= candidates
+            if options & (options - 1) == 0:
+                forced |= options
         if not forced:
-            return in_set, excluded, dominated
+            return chosen, rejected, covered
         while forced:
             low = forced & -forced
-            u = low.bit_length() - 1
+            w = low.bit_length() - 1
             forced ^= low
-            if (in_set >> u) & 1:
-                continue
-            if adj[u] & in_set:
+            if conflict[w] & chosen:
                 return None
-            in_set |= 1 << u
-            excluded |= adj[u]
-            dominated |= closed[u]
+            chosen |= low
+            rejected |= conflict[w]
+            covered |= coverage[w]
 
 
-def _solve_min_mis(graph: Graph, deadline: _Deadline, start_best: int) -> tuple[int, int]:
-    """Return ``(i(G), witness bits)`` with the lexicographically least witness.
+def _solve_min_cover(
+    graph: Graph,
+    deadline: _Deadline,
+    coverage: tuple[int, ...],
+    chooser: tuple[int, ...],
+    conflict: tuple[int, ...],
+    upper: int,
+) -> tuple[int, int]:
+    """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
-    Two passes: the first establishes the optimal value, the second re-runs
-    the same search with the value pinned, taking the first (hence
-    lexicographically smallest) optimal set it reaches.
+    ``upper`` is one more than the size of some feasible cover.
     """
-    n = graph.n
-    adj = graph.adj
     full = graph.full_bits
-    if n == 0:
-        return 0, 0
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
-    denom = max(row.bit_count() for row in adj) + 1
+    denom = max((row.bit_count() for row in coverage), default=1)
+    best = upper
+    witness = 0
 
-    best = start_best
-
-    def search(in_set: int, excluded: int, dominated: int, limit: int, first_hit: bool):
-        nonlocal best
+    def search(chosen: int, rejected: int, covered: int) -> None:
+        nonlocal best, witness
         deadline.tick()
-        state = _propagate_mis(adj, closed, full, in_set, excluded, dominated)
+        state = _propagate(coverage, chooser, conflict, full, chosen, rejected, covered)
         if state is None:
-            return None
-        in_set, excluded, dominated = state
-        k = in_set.bit_count()
-        undominated = full & ~dominated
-        bound = k + (undominated.bit_count() + denom - 1) // denom
-        if first_hit:
-            if bound > limit:
-                return None
-        else:
-            if bound >= best:
-                return None
-        undecided = full & ~in_set & ~excluded
-        if undecided == 0:
-            if undominated == 0:
-                if first_hit:
-                    return in_set
-                if k < best:
-                    best = k
-            return None
+            return
+        chosen, rejected, covered = state
+        k = chosen.bit_count()
+        uncovered = full & ~covered
+        if k + (uncovered.bit_count() + denom - 1) // denom >= best:
+            return
+        if uncovered == 0:
+            best, witness = k, chosen
+            return
+        # propagation leaves every uncovered vertex an undecided option
+        undecided = full & ~chosen & ~rejected
         v_bit = undecided & -undecided
         v = v_bit.bit_length() - 1
-        hit = search(
-            in_set | v_bit,
-            excluded | (adj[v] & ~in_set),
-            dominated | closed[v],
-            limit,
-            first_hit,
-        )
-        if hit is not None:
-            return hit
-        return search(in_set, excluded | v_bit, dominated, limit, first_hit)
+        search(chosen | v_bit, rejected | conflict[v], covered | coverage[v])
+        search(chosen, rejected | v_bit, covered)
 
-    search(0, 0, 0, 0, False)
-    witness = search(0, 0, 0, best, True)
-    if witness is None:  # the value pass already found one; re-finding must succeed
-        raise AssertionError("witness pass failed to reproduce the optimum")
+    search(0, 0, 0)
     return best, witness
 
 
@@ -265,15 +261,47 @@ def independent_domination_number(
     _require_cap(graph, limits, "exact independent domination")
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
-    greedy = _greedy_maximal_independent(graph.adj, graph.n)
-    value, bits = _solve_min_mis(graph, deadline, greedy.bit_count())
+    closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
+    upper = _greedy_maximal_independent(graph.adj, graph.n).bit_count() + 1
+    value, bits = _solve_min_cover(graph, deadline, closed, closed, graph.adj, upper)
     return InvariantResult(
         "i", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
     )
 
 
+def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
+    """Exact minimum size of a dominating set, with witness."""
+    _require_cap(graph, limits, "exact domination")
+    started = perf_counter()
+    deadline = _Deadline(limits.budget_secs)
+    closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
+    value, bits = _solve_min_cover(graph, deadline, closed, closed, (0,) * graph.n, graph.n + 1)
+    return InvariantResult(
+        "gamma", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
+    )
+
+
+def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
+    """Exact minimum size of a total dominating set, with witness.
+
+    Undefined (raises :class:`UndefinedInvariant`) when the graph has an
+    isolated vertex, since such a vertex can never acquire a neighbour.
+    """
+    _require_cap(graph, limits, "exact total domination")
+    if graph.n == 0 or any(row == 0 for row in graph.adj):
+        raise UndefinedInvariant("total domination is undefined with isolated vertices")
+    started = perf_counter()
+    deadline = _Deadline(limits.budget_secs)
+    value, bits = _solve_min_cover(
+        graph, deadline, graph.adj, graph.adj, (0,) * graph.n, graph.n + 1
+    )
+    return InvariantResult(
+        "gamma_t", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
+    )
+
+
 # ---------------------------------------------------------------------------
-# Maximum independent set (independence number)
+# Maximum independent set (independence and 2-packing numbers)
 # ---------------------------------------------------------------------------
 
 
@@ -296,15 +324,18 @@ def _clique_cover_bound(adj: tuple[int, ...], candidates: int) -> int:
 
 
 def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]:
-    n = graph.n
-    adj = graph.adj
-    if n == 0:
-        return 0, 0
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
-    best = 0
+    """Return ``(alpha(G), bits)`` with the lexicographically least witness.
 
-    def search(chosen: int, candidates: int, target: int, first_hit: bool):
-        nonlocal best
+    One pass, under the conditions stated for the cover kernel with the
+    bound mirrored: prune at ``upper <= best``, start ``best`` at -1.
+    """
+    adj = graph.adj
+    closed = tuple(adj[v] | (1 << v) for v in range(graph.n))
+    best = -1
+    witness = 0
+
+    def search(chosen: int, candidates: int) -> None:
+        nonlocal best, witness
         deadline.tick()
         # vertices with no candidate neighbours always join
         while True:
@@ -321,30 +352,17 @@ def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]
             chosen |= free
             candidates &= ~free
         k = chosen.bit_count()
+        if k + _clique_cover_bound(adj, candidates) <= best:
+            return
         if candidates == 0:
-            if first_hit:
-                return chosen if k == target else None
-            if k > best:
-                best = k
-            return None
-        upper = k + _clique_cover_bound(adj, candidates)
-        if first_hit:
-            if upper < target:
-                return None
-        else:
-            if upper <= best:
-                return None
+            best, witness = k, chosen
+            return
         v_bit = candidates & -candidates
         v = v_bit.bit_length() - 1
-        hit = search(chosen | v_bit, candidates & ~closed[v], target, first_hit)
-        if hit is not None:
-            return hit
-        return search(chosen, candidates & ~v_bit, target, first_hit)
+        search(chosen | v_bit, candidates & ~closed[v])
+        search(chosen, candidates & ~v_bit)
 
-    search(0, graph.full_bits, 0, False)
-    witness = search(0, graph.full_bits, best, True)
-    if witness is None:
-        raise AssertionError("witness pass failed to reproduce the optimum")
+    search(0, graph.full_bits)
     return best, witness
 
 
@@ -356,125 +374,6 @@ def independence_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> 
     value, bits = _solve_max_independent(graph, deadline)
     return InvariantResult(
         "alpha", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
-    )
-
-
-# ---------------------------------------------------------------------------
-# Domination and total domination numbers
-# ---------------------------------------------------------------------------
-
-
-def _solve_min_cover(
-    graph: Graph,
-    deadline: _Deadline,
-    coverage: tuple[int, ...],
-    chooser: tuple[int, ...],
-    start_best: int,
-) -> tuple[int, int]:
-    """Shared search for domination-style problems.
-
-    Picking vertex ``v`` covers ``coverage[v]``; an uncovered vertex ``u``
-    can only ever be covered by members of ``chooser[u]``.  Finds a minimum
-    set whose union of coverage is everything, then the lexicographically
-    least such set of that size.
-    """
-    n = graph.n
-    full = graph.full_bits
-    if n == 0:
-        return 0, 0
-    denom = max(row.bit_count() for row in coverage) if any(coverage) else 0
-    if denom == 0:
-        raise UndefinedInvariant("no vertex covers anything; invariant undefined")
-
-    best = start_best
-
-    def search(chosen: int, rejected: int, covered: int, limit: int, first_hit: bool):
-        nonlocal best
-        deadline.tick()
-        # propagate forced choices
-        while True:
-            undecided = full & ~chosen & ~rejected
-            forced = 0
-            scan = full & ~covered
-            while scan:
-                low = scan & -scan
-                u = low.bit_length() - 1
-                scan ^= low
-                options = chooser[u] & undecided
-                if options == 0:
-                    return None
-                if options & (options - 1) == 0:
-                    forced |= options
-            if not forced:
-                break
-            while forced:
-                low = forced & -forced
-                w = low.bit_length() - 1
-                forced ^= low
-                if not (chosen >> w) & 1:
-                    chosen |= low
-                    covered |= coverage[w]
-        k = chosen.bit_count()
-        uncovered = full & ~covered
-        bound = k + (uncovered.bit_count() + denom - 1) // denom
-        if first_hit:
-            if bound > limit:
-                return None
-        else:
-            if bound >= best:
-                return None
-        undecided = full & ~chosen & ~rejected
-        if uncovered == 0:
-            # any superset stays feasible; this is already a candidate
-            if first_hit:
-                return chosen if k == limit else None
-            if k < best:
-                best = k
-            return None
-        if undecided == 0:
-            return None
-        v_bit = undecided & -undecided
-        v = v_bit.bit_length() - 1
-        hit = search(chosen | v_bit, rejected, covered | coverage[v], limit, first_hit)
-        if hit is not None:
-            return hit
-        return search(chosen, rejected | v_bit, covered, limit, first_hit)
-
-    search(0, 0, 0, 0, False)
-    witness = search(0, 0, 0, best, True)
-    if witness is None:
-        raise AssertionError("witness pass failed to reproduce the optimum")
-    return best, witness
-
-
-def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
-    """Exact minimum size of a dominating set, with witness."""
-    _require_cap(graph, limits, "exact domination")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    if graph.n == 0:
-        return InvariantResult("gamma", 0, VertexSet(0, 0), "branch-and-bound", 0.0)
-    closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
-    value, bits = _solve_min_cover(graph, deadline, closed, closed, graph.n)
-    return InvariantResult(
-        "gamma", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
-    )
-
-
-def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
-    """Exact minimum size of a total dominating set, with witness.
-
-    Undefined (raises :class:`UndefinedInvariant`) when the graph has an
-    isolated vertex, since such a vertex can never acquire a neighbour.
-    """
-    _require_cap(graph, limits, "exact total domination")
-    if graph.n == 0 or any(row == 0 for row in graph.adj):
-        raise UndefinedInvariant("total domination is undefined with isolated vertices")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits = _solve_min_cover(graph, deadline, graph.adj, graph.adj, graph.n)
-    return InvariantResult(
-        "gamma_t", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
     )
 
 
@@ -535,7 +434,7 @@ def enumerate_maximal_independent_sets(
 
     def rec(in_set: int, excluded: int, dominated: int) -> Iterator[int]:
         deadline.tick()
-        state = _propagate_mis(adj, closed, full, in_set, excluded, dominated)
+        state = _propagate(closed, closed, adj, full, in_set, excluded, dominated)
         if state is None:
             return
         in_set, excluded, dominated = state

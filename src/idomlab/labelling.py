@@ -21,7 +21,7 @@ the constructed set, and its minimum over legal labellings equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graph import Graph, VertexSet, _bits_of
 from .invariants import (
@@ -251,6 +251,8 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # n! label symmetry.  Conditions 1 and 3 are monotone and checked as edges
 # complete; conditions 2 and 4 are only decidable once a vertex's closed
 # neighbourhood is fully labelled, so they are checked at exactly that point.
+# Tags are tried in the order 0 < classes < [n], and one pass finds the least
+# optimum under the conditions stated for the cover kernel in invariants.py.
 
 
 def minimize_weight(
@@ -264,7 +266,8 @@ def minimize_weight(
     The returned value equals ``i(G x K_n)``.  The labelling is the
     lexicographically least optimum in canonical (first-occurrence) class
     numbering.  ``allow_layer_label=False`` restricts the search to
-    labellings avoiding the ``[n]`` label.
+    labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
+    on a graph with an isolated vertex, where no such labelling is legal.
     """
     if n < 2:
         raise ValueError("the complete factor must have order at least 2")
@@ -284,10 +287,19 @@ def minimize_weight(
         last = u if adj[u] == 0 else max(u, adj[u].bit_length() - 1)
         finished_at[last].append(u)
 
-    # start from a labelling that always exists: every non-isolated vertex in
-    # class 1, isolated vertices labelled [n]
+    if not allow_layer_label:
+        for v in range(m):
+            if adj[v] == 0:
+                raise ValueError(
+                    f"vertex {v} is isolated: without the {SPECIAL_TEXT} label "
+                    "no labelling is legal"
+                )
+
+    # start above a labelling that always exists: every non-isolated vertex
+    # in class 1, isolated vertices labelled [n]
     start_tags = tuple(1 if adj[v] else special for v in range(m))
-    best_weight = weight(Labelling(n, start_tags))
+    best_weight = weight(Labelling(n, start_tags)) + 1
+    best_tags: tuple[int, ...] = ()
 
     tags = [0] * m
 
@@ -312,18 +324,14 @@ def minimize_weight(
             return False
         return True
 
-    def search(v: int, used: int, partial: int, pinned: Optional[int]) -> Optional[tuple[int, ...]]:
-        """DFS over tags of vertex ``v``; ``pinned`` switches to witness mode."""
-        nonlocal best_weight
+    def search(v: int, used: int, partial: int) -> None:
+        """DFS over tags of vertex ``v``."""
+        nonlocal best_weight, best_tags
         deadline.tick()
         if v == m:
-            if pinned is not None:
-                return tuple(tags) if partial == pinned else None
-            if partial < best_weight:
-                best_weight = partial
-            return None
+            best_weight, best_tags = partial, tuple(tags)
+            return
 
-        limit_weight = best_weight if pinned is None else pinned
         choices: list[tuple[int, int]] = [(0, 0)]
         for c in range(1, min(used + 1, n) + 1):
             choices.append((c, 1))
@@ -332,10 +340,7 @@ def minimize_weight(
 
         for tag, cost in choices:
             new_partial = partial + cost
-            if pinned is None:
-                if new_partial >= limit_weight:
-                    continue
-            elif new_partial > limit_weight:
+            if new_partial >= best_weight:
                 continue
             # monotone legality against already-labelled neighbours
             ok = True
@@ -362,18 +367,11 @@ def minimize_weight(
                     break
             if ok:
                 next_used = used if tag == 0 or tag == special else max(used, tag)
-                hit = search(v + 1, next_used, new_partial, pinned)
-                if hit is not None:
-                    tags[v] = 0
-                    return hit
+                search(v + 1, next_used, new_partial)
             tags[v] = 0
-        return None
 
-    search(0, 0, 0, None)
-    witness = search(0, 0, 0, best_weight)
-    if witness is None:
-        raise AssertionError("witness pass failed to reproduce the optimal labelling")
-    return Labelling(n, witness), best_weight
+    search(0, 0, 0)
+    return Labelling(n, best_tags), best_weight
 
 # ---------------------------------------------------------------------------
 # Closed forms and constructions for paths and cycles

@@ -6,6 +6,7 @@ the branch-and-bound code paths it is used to check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from idomlab.graph import Graph, VertexSet
@@ -32,6 +33,43 @@ def is_dominating_subset(graph: Graph, members: tuple[int, ...]) -> bool:
 
 def is_maximal_independent_subset(graph: Graph, members: tuple[int, ...]) -> bool:
     return is_independent_subset(graph, members) and is_dominating_subset(graph, members)
+
+
+def is_total_dominating_subset(graph: Graph, members: tuple[int, ...]) -> bool:
+    covered = set()
+    for v in members:
+        covered.update(graph.neighbors(v))
+    return len(covered) == graph.n
+
+
+def is_two_packing_subset(graph: Graph, members: tuple[int, ...]) -> bool:
+    from idomlab.graph import distance
+
+    return all(distance(graph, u, v) >= 3 for u, v in combinations(members, 2))
+
+
+SUBSET_PREDICATES = {
+    "i": is_maximal_independent_subset,
+    "alpha": is_independent_subset,
+    "gamma": is_dominating_subset,
+    "gamma_t": is_total_dominating_subset,
+    "rho": is_two_packing_subset,
+}
+
+
+def brute_least_optimum(graph: Graph, name: str) -> tuple[int, ...] | None:
+    """The lexicographically least optimum set for an invariant, or ``None``.
+
+    ``combinations`` yields each size in lexicographic order, so the first
+    feasible set of the optimal size is the least one.
+    """
+    sizes = range(graph.n, -1, -1) if name in ("alpha", "rho") else range(graph.n + 1)
+    predicate = SUBSET_PREDICATES[name]
+    for size in sizes:
+        for s in combinations(range(graph.n), size):
+            if predicate(graph, s):
+                return s
+    return None
 
 
 def brute_alpha(graph: Graph) -> int:
@@ -65,20 +103,15 @@ def brute_gamma(graph: Graph) -> int:
 def brute_gamma_t(graph: Graph) -> int | None:
     for size in range(graph.n + 1):
         for s in combinations(range(graph.n), size):
-            covered = set()
-            for v in s:
-                covered.update(graph.neighbors(v))
-            if len(covered) == graph.n:
+            if is_total_dominating_subset(graph, s):
                 return size
     return None
 
 
 def brute_rho(graph: Graph) -> int:
-    from idomlab.graph import distance
-
     best = 0
     for s in subsets(graph.n):
-        if all(distance(graph, u, v) >= 3 for u, v in combinations(s, 2)):
+        if is_two_packing_subset(graph, s):
             best = max(best, len(s))
     return best
 
@@ -117,6 +150,40 @@ def brute_min_weight_labelling(graph: Graph, n: int) -> int:
             best = w
     assert best is not None, "the all-ones labelling is always legal on isolate-free graphs"
     return best
+
+
+def _first_occurrence(tags: tuple[int, ...], n: int) -> bool:
+    """Whether classes ``1..n`` first appear in increasing order."""
+    used = 0
+    for tag in tags:
+        if 1 <= tag <= n:
+            if tag > used + 1:
+                return False
+            used = max(used, tag)
+    return True
+
+
+@lru_cache(maxsize=None)
+def _labellings_by_weight(m: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    from idomlab.labelling import Labelling, weight
+
+    return tuple(
+        sorted(
+            (weight(Labelling(n, tags)), tags)
+            for tags in iproduct(range(n + 2), repeat=m)
+            if _first_occurrence(tags, n)
+        )
+    )
+
+
+def brute_least_labelling(graph: Graph, n: int) -> tuple[int, tuple[int, ...]]:
+    """The least ``(weight, tags)`` over legal first-occurrence labellings."""
+    from idomlab.labelling import Labelling, check_legal
+
+    for w, tags in _labellings_by_weight(graph.n, n):
+        if check_legal(graph, Labelling(n, tags)).legal:
+            return w, tags
+    raise AssertionError("with the [n] label allowed, every graph has a legal labelling")
 
 
 def vertex_set(graph: Graph, members: tuple[int, ...]) -> VertexSet:

@@ -289,6 +289,21 @@ class TestInputEdgePaths:
         )
         assert code == 2 and "not both" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "{missing}"),
+            ("compute", "--graph-file", "{missing}"),
+            ("search", "--bound", "clawfree-factor-lower", "--pairs-file", "{missing}"),
+        ],
+        ids=["verify", "compute", "search"],
+    )
+    def test_missing_input_file_is_usage_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "absent")
+        code, out, err = run_cli(capsys, *(arg.format(missing=missing) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and missing in err
+
     def test_verify_unchecked_gives_budget_exit(self, capsys, tmp_path):
         # an exact-value claim on a subject above the verification cap
         cert = read_certificate(open(BUNDLE).read().splitlines()[0])

@@ -39,6 +39,7 @@ from oracles import (
     brute_gamma,
     brute_gamma_t,
     brute_i,
+    brute_least_optimum,
     brute_maximal_independent_sets,
     brute_rho,
     vertex_set,
@@ -151,6 +152,19 @@ class TestCanonicalWitnesses:
                 if len(s) == result.value
             )
             assert result.witness.members() == optima[0]
+
+    @pytest.mark.parametrize("name", ["gamma", "gamma_t", "alpha", "rho"])
+    def test_witness_is_lexicographically_least(self, name):
+        rng = random.Random(809)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.7))
+            expected = brute_least_optimum(g, name)
+            if expected is None:
+                with pytest.raises(UndefinedInvariant):
+                    invariant(g, name)
+                continue
+            result = invariant(g, name)
+            assert (result.value, result.witness.members()) == (len(expected), expected)
 
     def test_deterministic_across_runs(self):
         g = random_graph(random.Random(1234), 12, 0.3)

@@ -27,7 +27,7 @@ from idomlab.labelling import (
 from idomlab.products import direct_product
 from idomlab.smallgraphs import all_graphs, random_graph
 
-from oracles import brute_min_weight_labelling
+from oracles import brute_least_labelling, brute_min_weight_labelling
 
 FIGURE_PATTERN = (1, 1, 0, 2, 2, 0, 1, 1, 0, 2, 2, 0, 3, 3, 3, 0)
 
@@ -174,6 +174,13 @@ class TestMinimizeWeight:
             for n in (2, 3):
                 assert minimize_weight(g, n)[1] == brute_min_weight_labelling(g, n)
 
+    def test_least_canonical_labelling_on_all_small_graphs(self):
+        for order in range(7):
+            for g in all_graphs(order):
+                for n in (2, 3):
+                    lab, value = minimize_weight(g, n)
+                    assert (value, lab.tags) == brute_least_labelling(g, n)
+
     def test_agrees_with_product_solver(self):
         rng = random.Random(888)
         for _ in range(25):
@@ -188,6 +195,11 @@ class TestMinimizeWeight:
         g = build_graph(1, [])
         lab, value = minimize_weight(g, 3)
         assert value == 3 and lab.tags == (4,)
+
+    def test_layer_free_search_rejects_isolated_vertices(self):
+        g = build_graph(3, [(0, 2)])
+        with pytest.raises(ValueError, match="vertex 1 is isolated"):
+            minimize_weight(g, 3, allow_layer_label=False)
 
     def test_layer_free_optimum_matches_on_cycles(self):
         """Cycles never need the layer-filling label at the optimum."""
