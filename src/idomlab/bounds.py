@@ -4,35 +4,26 @@ Every report carries the hypothesis check that gates it ("applicable"),
 both sides of the inequality, and the verdict.  Inapplicable reports carry
 no verdict.  Ratio-form bounds round their right side up, since the bounded
 quantity is an integer; the raw rational stays in the detail map.
+
+The bounds are data: one table entry per bound, evaluated on a profile of
+the factor pair that solves each invariant of each factor, and of their
+product, at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from math import ceil
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .graph import (
-    Graph,
-    VertexSet,
-    find_claw,
-    is_bipartite,
-    is_connected,
-    max_degree,
-    min_degree,
-)
-from .invariants import (
-    DEFAULT_LIMITS,
-    CapExceeded,
-    SolverLimits,
-    domination_number,
-    independence_number,
-    independent_domination_number,
-    is_maximal_independent,
-    total_domination_number,
-    two_packing_number,
-)
-from .products import direct_product
+from .families import make_complete
+from .graph import Graph, VertexSet, find_claw, is_bipartite, is_connected, max_degree, min_degree
+from .invariants import DEFAULT_LIMITS, CapExceeded, SolverLimits, invariant, is_maximal_independent
+from .products import ProductGraph, direct_product
+
+K_2 = make_complete(2)
 
 
 @dataclass(frozen=True)
@@ -59,52 +50,160 @@ def _inapplicable(bound_id: str, reason: str) -> BoundReport:
     return BoundReport(bound_id, False, reason, None, None, None)
 
 
-def _no_isolates(graph: Graph) -> bool:
-    return graph.n > 0 and min_degree(graph) >= 1
+class _Profile:
+    """A factor pair; ``value(name, side)`` solves ``name`` on the ``"left"`` or
+    ``"right"`` factor or on the ``"product"`` once, when first asked for."""
+
+    def __init__(self, left: Graph, right: Graph, limits: SolverLimits) -> None:
+        self.left = left
+        self.right = right
+        self.limits = limits
+        self._values: dict[tuple[str, str], int] = {}
+
+    @cached_property
+    def product(self) -> ProductGraph:
+        return direct_product(self.left, self.right)
+
+    def value(self, name: str, side: str) -> int:
+        key = (name, side)
+        if key not in self._values:
+            graph = self.product.graph if side == "product" else getattr(self, side)
+            self._values[key] = invariant(graph, name, self.limits).value
+        return self._values[key]
+
+    def sides(self, name: str) -> tuple[int, int]:
+        return self.value(name, "left"), self.value(name, "right")
+
+
+class _PairBound(NamedTuple):
+    """``product(G x H) relation rhs(profile)`` where ``gate`` returns ``None``, not a
+    reason it does not apply.  ``factors`` are the factor invariants the detail
+    shows as ``{name}_{side}``.  A ``Fraction`` right side is rounded up."""
+
+    bound_id: str
+    gate: Callable[[Graph, Graph], Optional[str]]
+    reason: str
+    factors: tuple[str, ...]
+    product: str
+    relation: str
+    rhs: Callable[[_Profile], Union[int, Fraction]]
+
+
+def _isolate_free(left: Graph, right: Graph) -> Optional[str]:
+    if all(graph.n > 0 and min_degree(graph) >= 1 for graph in (left, right)):
+        return None
+    return "a factor has an isolated vertex"
+
+
+def _claw_free(left: Graph, right: Graph) -> Optional[str]:
+    if reason := _isolate_free(left, right):
+        return reason
+    for name, graph in (("left", left), ("right", right)):
+        if (claw := find_claw(graph)) is not None:
+            return f"{name} factor has an induced claw at {list(claw)}"
+    return None
+
+
+def _connected(left: Graph, right: Graph) -> Optional[str]:
+    if not (is_connected(left) and is_connected(right)) or left.n == 0 or right.n == 0:
+        return "a factor is disconnected"
+    return None
+
+
+def _connected_bipartite(left: Graph, right: Graph) -> Optional[str]:
+    reason = _connected(left, right)
+    if reason is None and (is_bipartite(left) is None or is_bipartite(right) is None):
+        return "a factor contains an odd cycle"
+    return reason
+
+
+def _right_side(bound: _PairBound, profile: _Profile) -> tuple[int, dict[str, str]]:
+    """The bound's right side and the detail map behind it; solves factors only."""
+    sides = ("left", "right")
+    detail = {f"{n}_{s}": str(profile.value(n, s)) for n in bound.factors for s in sides}
+    rhs = bound.rhs(profile)
+    if isinstance(rhs, Fraction):
+        return ceil(rhs), {"raw_rhs": str(rhs), **detail}
+    return rhs, detail
+
+
+def _report(bound: _PairBound, profile: _Profile) -> BoundReport:
+    reason = bound.gate(profile.left, profile.right)
+    if reason is not None:
+        return _inapplicable(bound.bound_id, reason)
+    rhs, detail = _right_side(bound, profile)
+    lhs = profile.value(bound.product, "product")
+    holds = lhs <= rhs if bound.relation == "<=" else lhs >= rhs
+    return BoundReport(bound.bound_id, True, bound.reason, lhs, rhs, holds, detail)
+
+
+PAIR_BOUNDS = {
+    bound.bound_id: bound
+    for bound in (
+        _PairBound(
+            "i-product-upper", _isolate_free, "both factors isolate-free", ("i",), "i", "<=",
+            lambda p: min(p.value("i", "left") * p.right.n, p.value("i", "right") * p.left.n),
+        ),
+        _PairBound(
+            "alpha-product-lower", _isolate_free, "both factors isolate-free", ("alpha",),
+            "alpha", ">=",
+            lambda p: max(p.value("alpha", "left") * p.right.n, p.value("alpha", "right") * p.left.n),
+        ),
+        _PairBound(
+            "packing-total-lower", _isolate_free, "both factors isolate-free", ("rho", "gamma_t"),
+            "i", ">=",
+            lambda p: max(
+                p.value("rho", "left") * p.value("gamma_t", "right"),
+                p.value("rho", "right") * p.value("gamma_t", "left"),
+            ),
+        ),
+        _PairBound(
+            "clawfree-factor-lower", _claw_free, "both factors claw-free and isolate-free",
+            ("i",), "i", ">=", lambda p: max(p.sides("i")),
+        ),
+        _PairBound(
+            "degree-ratio-lower", _connected, "both factors connected", ("gamma",), "i", ">=",
+            lambda p: max(
+                Fraction(p.right.n * p.value("gamma", "left"), max_degree(p.right) + 1),
+                Fraction(p.left.n * p.value("gamma", "right"), max_degree(p.left) + 1),
+            ),
+        ),
+        _PairBound(
+            "bipartite-domination-lower", _connected_bipartite,
+            "both factors connected and bipartite", ("gamma",), "i", ">=",
+            lambda p: 2 * max(p.sides("gamma")),
+        ),
+    )
+}
+
+# The Nowakowski-Rall relations; conjecture_scan adds their fallbacks.
+_CONJECTURES = (
+    _PairBound(
+        "factor-product-lower", lambda left, right: None, "exact product value", ("i",), "i",
+        ">=", lambda p: p.value("i", "left") * p.value("i", "right"),
+    ),
+    _PairBound(
+        "factor-min-lower", lambda left, right: None, "exact product value", ("i",), "i", ">=",
+        lambda p: min(p.sides("i")),
+    ),
+)
+
+BOUND_IDS = tuple(sorted(PAIR_BOUNDS)) + tuple(bound.bound_id for bound in _CONJECTURES)
+_BY_ID = {**PAIR_BOUNDS, **{bound.bound_id: bound for bound in _CONJECTURES}}
 
 
 def product_upper_bound(
     left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> BoundReport:
     """``i(G x H) <= min(i(G) n(H), i(H) n(G))`` for isolate-free factors."""
-    bound_id = "i-product-upper"
-    if not (_no_isolates(left) and _no_isolates(right)):
-        return _inapplicable(bound_id, "a factor has an isolated vertex")
-    i_left = independent_domination_number(left, limits).value
-    i_right = independent_domination_number(right, limits).value
-    rhs = min(i_left * right.n, i_right * left.n)
-    lhs = independent_domination_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors isolate-free",
-        lhs,
-        rhs,
-        lhs <= rhs,
-        {"i_left": str(i_left), "i_right": str(i_right)},
-    )
+    return _report(PAIR_BOUNDS["i-product-upper"], _Profile(left, right, limits))
 
 
 def alpha_lower_bound(
     left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> BoundReport:
     """``alpha(G x H) >= max(alpha(G) n(H), alpha(H) n(G))`` for isolate-free factors."""
-    bound_id = "alpha-product-lower"
-    if not (_no_isolates(left) and _no_isolates(right)):
-        return _inapplicable(bound_id, "a factor has an isolated vertex")
-    a_left = independence_number(left, limits).value
-    a_right = independence_number(right, limits).value
-    rhs = max(a_left * right.n, a_right * left.n)
-    lhs = independence_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors isolate-free",
-        lhs,
-        rhs,
-        lhs >= rhs,
-        {"alpha_left": str(a_left), "alpha_right": str(a_right)},
-    )
+    return _report(PAIR_BOUNDS["alpha-product-lower"], _Profile(left, right, limits))
 
 
 def k2_sandwich(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> BoundReport:
@@ -114,82 +213,29 @@ def k2_sandwich(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> BoundRep
     in the detail map.
     """
     bound_id = "k2-sandwich"
-    if not _no_isolates(graph):
+    if _isolate_free(graph, K_2):
         return _inapplicable(bound_id, "the graph has an isolated vertex")
-    from .families import make_complete
-
-    lower = total_domination_number(graph, limits).value
-    i_graph = independent_domination_number(graph, limits).value
-    middle = independent_domination_number(
-        direct_product(graph, make_complete(2)).graph, limits
-    ).value
+    profile = _Profile(graph, K_2, limits)
+    lower = profile.value("gamma_t", "left")
+    i_graph = profile.value("i", "left")
+    middle = profile.value("i", "product")
     upper = min(2 * i_graph, graph.n)
-    return BoundReport(
-        bound_id,
-        True,
-        "isolate-free",
-        lower,
-        upper,
-        lower <= middle <= upper,
-        {"i_product_k2": str(middle), "i_graph": str(i_graph)},
-    )
+    detail = {"i_product_k2": str(middle), "i_graph": str(i_graph)}
+    return BoundReport(bound_id, True, "isolate-free", lower, upper, lower <= middle <= upper, detail)
 
 
 def packing_total_bound(
     left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> BoundReport:
     """``i(G x H) >= max(rho(G) gamma_t(H), rho(H) gamma_t(G))``, min degree >= 1."""
-    bound_id = "packing-total-lower"
-    if not (_no_isolates(left) and _no_isolates(right)):
-        return _inapplicable(bound_id, "a factor has an isolated vertex")
-    rho_left = two_packing_number(left, limits).value
-    rho_right = two_packing_number(right, limits).value
-    gt_left = total_domination_number(left, limits).value
-    gt_right = total_domination_number(right, limits).value
-    rhs = max(rho_left * gt_right, rho_right * gt_left)
-    lhs = independent_domination_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors isolate-free",
-        lhs,
-        rhs,
-        lhs >= rhs,
-        {
-            "rho_left": str(rho_left),
-            "rho_right": str(rho_right),
-            "gamma_t_left": str(gt_left),
-            "gamma_t_right": str(gt_right),
-        },
-    )
+    return _report(PAIR_BOUNDS["packing-total-lower"], _Profile(left, right, limits))
 
 
 def clawfree_bound(
     left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> BoundReport:
     """``i(G x H) >= max(i(G), i(H))`` when both factors are claw-free and isolate-free."""
-    bound_id = "clawfree-factor-lower"
-    if not (_no_isolates(left) and _no_isolates(right)):
-        return _inapplicable(bound_id, "a factor has an isolated vertex")
-    for name, graph in (("left", left), ("right", right)):
-        claw = find_claw(graph)
-        if claw is not None:
-            return _inapplicable(
-                bound_id, f"{name} factor has an induced claw at {list(claw)}"
-            )
-    i_left = independent_domination_number(left, limits).value
-    i_right = independent_domination_number(right, limits).value
-    rhs = max(i_left, i_right)
-    lhs = independent_domination_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors claw-free and isolate-free",
-        lhs,
-        rhs,
-        lhs >= rhs,
-        {"i_left": str(i_left), "i_right": str(i_right)},
-    )
+    return _report(PAIR_BOUNDS["clawfree-factor-lower"], _Profile(left, right, limits))
 
 
 def degree_ratio_bound(
@@ -199,50 +245,14 @@ def degree_ratio_bound(
 
     Needs both factors connected.  The right side is reported rounded up.
     """
-    bound_id = "degree-ratio-lower"
-    if not (is_connected(left) and is_connected(right)) or left.n == 0 or right.n == 0:
-        return _inapplicable(bound_id, "a factor is disconnected")
-    g_left = domination_number(left, limits).value
-    g_right = domination_number(right, limits).value
-    raw = max(
-        Fraction(right.n * g_left, max_degree(right) + 1),
-        Fraction(left.n * g_right, max_degree(left) + 1),
-    )
-    rhs = -(-raw.numerator // raw.denominator)
-    lhs = independent_domination_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors connected",
-        lhs,
-        rhs,
-        lhs >= rhs,
-        {"raw_rhs": str(raw), "gamma_left": str(g_left), "gamma_right": str(g_right)},
-    )
+    return _report(PAIR_BOUNDS["degree-ratio-lower"], _Profile(left, right, limits))
 
 
 def bipartite_bound(
     left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> BoundReport:
     """``i(G x H) >= 2 max(gamma(G), gamma(H))`` for connected bipartite factors."""
-    bound_id = "bipartite-domination-lower"
-    if not (is_connected(left) and is_connected(right)) or left.n == 0 or right.n == 0:
-        return _inapplicable(bound_id, "a factor is disconnected")
-    if is_bipartite(left) is None or is_bipartite(right) is None:
-        return _inapplicable(bound_id, "a factor contains an odd cycle")
-    g_left = domination_number(left, limits).value
-    g_right = domination_number(right, limits).value
-    rhs = 2 * max(g_left, g_right)
-    lhs = independent_domination_number(direct_product(left, right).graph, limits).value
-    return BoundReport(
-        bound_id,
-        True,
-        "both factors connected and bipartite",
-        lhs,
-        rhs,
-        lhs >= rhs,
-        {"gamma_left": str(g_left), "gamma_right": str(g_right)},
-    )
+    return _report(PAIR_BOUNDS["bipartite-domination-lower"], _Profile(left, right, limits))
 
 
 def conjecture_scan(
@@ -258,104 +268,86 @@ def conjecture_scan(
     relation whose right side exceeds the witness size "fails via
     upper-bound witness", and one the witness cannot decide is "unchecked".
     """
-    try:
-        i_left = independent_domination_number(left, limits).value
-        i_right = independent_domination_number(right, limits).value
-    except CapExceeded:
-        report = BoundReport(
-            "factor-product-lower",
-            True,
-            "a factor is above the exact-solve cap",
-            None,
-            None,
-            None,
-            {"verdict": "unchecked"},
-        )
-        return report, BoundReport(
-            "factor-min-lower",
-            True,
-            report.reason,
-            None,
-            None,
-            None,
-            {"verdict": "unchecked"},
-        )
-    rhs_product = i_left * i_right
-    rhs_min = min(i_left, i_right)
-    detail_base = {"i_left": str(i_left), "i_right": str(i_right)}
+    return _conjecture_reports(_Profile(left, right, limits), product_witness)
 
-    product = direct_product(left, right)
-    exact: Optional[int] = None
-    witness_size: Optional[int] = None
+
+def _conjecture_reports(
+    profile: _Profile, product_witness: Optional[VertexSet] = None
+) -> tuple[BoundReport, BoundReport]:
     try:
-        exact = independent_domination_number(product.graph, limits).value
+        right_sides = [_right_side(bound, profile) for bound in _CONJECTURES]
     except CapExceeded:
+        reason = "a factor is above the exact-solve cap"
+        return tuple(
+            BoundReport(bound.bound_id, True, reason, None, None, None, {"verdict": "unchecked"})
+            for bound in _CONJECTURES
+        )
+    try:
+        profile.value("i", "product")
+    except CapExceeded:
+        witness_size = None
         if product_witness is not None:
-            if not is_maximal_independent(product.graph, product_witness):
+            if not is_maximal_independent(profile.product.graph, product_witness):
                 raise ValueError("supplied product witness is not maximal independent")
             witness_size = len(product_witness)
-
-    def evaluate(bound_id: str, rhs: int) -> BoundReport:
-        detail = dict(detail_base)
-        if exact is not None:
-            return BoundReport(
-                bound_id, True, "exact product value", exact, rhs, exact >= rhs, detail
-            )
-        if witness_size is not None and witness_size < rhs:
-            detail["verdict"] = "fails via upper-bound witness"
-            detail["witness_size"] = str(witness_size)
-            return BoundReport(
-                bound_id,
-                True,
-                "product above cap; witness-based verdict",
-                witness_size,
-                rhs,
-                False,
-                detail,
-            )
-        detail["verdict"] = "unchecked"
-        if witness_size is not None:
-            detail["witness_size"] = str(witness_size)
-        return BoundReport(
-            bound_id,
-            True,
-            "product above cap; witness cannot decide the relation",
-            witness_size,
-            rhs,
-            None,
-            detail,
+        return tuple(
+            _witness_report(bound.bound_id, rhs, detail, witness_size)
+            for bound, (rhs, detail) in zip(_CONJECTURES, right_sides)
         )
+    return tuple(_report(bound, profile) for bound in _CONJECTURES)
 
-    return (
-        evaluate("factor-product-lower", rhs_product),
-        evaluate("factor-min-lower", rhs_min),
+
+def _witness_report(
+    bound_id: str, rhs: int, detail: dict[str, str], witness_size: Optional[int]
+) -> BoundReport:
+    """A conjecture relation judged by a product witness, ``i(G x H)`` being above the cap."""
+    decided = witness_size is not None and witness_size < rhs
+    detail["verdict"] = "fails via upper-bound witness" if decided else "unchecked"
+    if witness_size is not None:
+        detail["witness_size"] = str(witness_size)
+    reason = "witness-based verdict" if decided else "witness cannot decide the relation"
+    return BoundReport(
+        bound_id, True, f"product above cap; {reason}", witness_size, rhs,
+        False if decided else None, detail,
     )
 
 
-PAIR_BOUNDS = {
-    "i-product-upper": product_upper_bound,
-    "alpha-product-lower": alpha_lower_bound,
-    "packing-total-lower": packing_total_bound,
-    "clawfree-factor-lower": clawfree_bound,
-    "degree-ratio-lower": degree_ratio_bound,
-    "bipartite-domination-lower": bipartite_bound,
-}
+def _lookup(bound_id: str) -> _PairBound:
+    try:
+        return _BY_ID[bound_id]
+    except KeyError:
+        raise ValueError(f"unknown bound id {bound_id!r}; choose from {list(BOUND_IDS)}") from None
+
+
+def evaluate_pair_bounds(
+    bound_ids: Iterable[str], left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
+) -> list[BoundReport]:
+    """Evaluate named bounds on one factor pair, solving each invariant at most once."""
+    bounds = [_lookup(bound_id) for bound_id in bound_ids]
+    profile = _Profile(left, right, limits)
+    return [
+        _conjecture_reports(profile)[_CONJECTURES.index(bound)]
+        if bound in _CONJECTURES
+        else _report(bound, profile)
+        for bound in bounds
+    ]
 
 
 def evaluate_pair_bound(
     bound_id: str, left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> list[BoundReport]:
-    """Evaluate one named bound (or the conjecture pair) on a factor pair."""
-    if bound_id in PAIR_BOUNDS:
-        return [PAIR_BOUNDS[bound_id](left, right, limits)]
-    if bound_id == "factor-product-lower":
-        return [conjecture_scan(left, right, limits)[0]]
-    if bound_id == "factor-min-lower":
-        return [conjecture_scan(left, right, limits)[1]]
-    raise ValueError(
-        f"unknown bound id {bound_id!r}; choose from "
-        f"{sorted(PAIR_BOUNDS) + ['factor-product-lower', 'factor-min-lower']}"
-    )
+    """Evaluate one named bound (or one conjecture relation) on a factor pair."""
+    return evaluate_pair_bounds((bound_id,), left, right, limits)
+
+
+def bound_rhs(
+    bound_id: str, left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
+) -> Optional[int]:
+    """The right side of a bound, or ``None`` where its gate fails; builds no product."""
+    bound = _lookup(bound_id)
+    if bound.gate(left, right) is not None:
+        return None
+    return _right_side(bound, _Profile(left, right, limits))[0]
 
 
 def parse_pair_manifest(text: str) -> list[tuple[str, str]]:

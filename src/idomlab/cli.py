@@ -19,13 +19,10 @@ from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence
 
 from .bounds import (
-    PAIR_BOUNDS,
-    bipartite_bound,
-    clawfree_bound,
-    degree_ratio_bound,
+    BOUND_IDS,
     evaluate_pair_bound,
+    evaluate_pair_bounds,
     k2_sandwich,
-    packing_total_bound,
     parse_pair_manifest,
 )
 from .families import (
@@ -436,10 +433,6 @@ TABLE1_EXPECTED = {
 REPRODUCE_TARGETS = ("table1", "prop34", "thm32", "bounds4", "conj-refutation", "thm12")
 
 
-def _family_graph(kind: str, m: int) -> Graph:
-    return build_family(f"{kind}:{m}")
-
-
 def _reproduce_table1(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
     limits = SolverLimits(vertex_cap=max(config.cap, 36), budget_secs=config.budget_secs)
     rows = []
@@ -448,7 +441,7 @@ def _reproduce_table1(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
     for kind in ("path", "cycle"):
         for offset, m in enumerate(range(3, 13)):
             expected = TABLE1_EXPECTED[kind][offset]
-            graph = _family_graph(kind, m)
+            graph = build_family(f"{kind}:{m}")
             via_product = independent_domination_number(
                 direct_product(graph, k3).graph, limits
             ).value
@@ -477,7 +470,7 @@ def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
         for n in (2, 3, 4):
             kn = make_complete(n)
             for m in range(3, 13):
-                graph = _family_graph(kind, m)
+                graph = build_family(f"{kind}:{m}")
                 formula = formula_value(kind, m, n)
                 exact = independent_domination_number(
                     direct_product(graph, kn).graph, limits
@@ -498,7 +491,7 @@ def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
                 )
     for kind in ("path", "cycle"):
         for m in range(3, 41):
-            graph = _family_graph(kind, m)
+            graph = build_family(f"{kind}:{m}")
             labelling = pattern_labelling(kind, m, 3)
             legal = check_legal(graph, labelling).legal
             expected = formula_value(kind, m, 3)
@@ -577,18 +570,24 @@ def _sample_bound_pair(rng: Random) -> tuple[Graph, Graph]:
             return left, right
 
 
-_BOUNDS4 = (packing_total_bound, degree_ratio_bound, bipartite_bound, clawfree_bound)
+_BOUNDS4 = (
+    "packing-total-lower",
+    "degree-ratio-lower",
+    "bipartite-domination-lower",
+    "clawfree-factor-lower",
+)
 
 
-def _bounds4_task(payload: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[int, int, int]:
-    cap, left_rows, right_rows = payload
-    limits = SolverLimits(vertex_cap=cap)
+def _bounds4_task(
+    payload: tuple[int, Optional[float], tuple[int, ...], tuple[int, ...]]
+) -> tuple[int, int, int]:
+    cap, budget, left_rows, right_rows = payload
+    limits = SolverLimits(vertex_cap=cap, budget_secs=budget)
     left = Graph(len(left_rows), left_rows)
     right = Graph(len(right_rows), right_rows)
     applicable = 0
     violations = 0
-    for bound in _BOUNDS4:
-        report = bound(left, right, limits)
+    for report in evaluate_pair_bounds(_BOUNDS4, left, right, limits):
         if report.applicable:
             applicable += 1
             if not report.holds:
@@ -602,8 +601,8 @@ def _reproduce_bounds4(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
     payloads = []
     for _ in range(500):
         left, right = _sample_bound_pair(rng)
-        payloads.append((cap, left.adj, right.adj))
-    results = _map_tasks(_bounds4_task, payloads, config.workers)
+        payloads.append((cap, config.budget_secs, left.adj, right.adj))
+    results = list(_imap_tasks(_bounds4_task, payloads, config.workers))
     applicable = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
     rows = [
@@ -616,6 +615,7 @@ def _reproduce_bounds4(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
         }
     ]
     return rows, 0 if violations == 0 else 1
+
 
 def _reproduce_conj_refutation(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
     limits = SolverLimits(vertex_cap=max(config.cap, 40), budget_secs=config.budget_secs)
@@ -729,9 +729,6 @@ def _reproduce(config: RunConfig, target: str) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-_SEARCH_BOUND_IDS = tuple(sorted(PAIR_BOUNDS)) + ("factor-product-lower", "factor-min-lower")
-
-
 def _search_task(
     payload: tuple[str, int, Optional[float], tuple[int, ...], tuple[int, ...]]
 ) -> Optional[dict[str, Any]]:
@@ -755,10 +752,8 @@ def _search_task(
 def _cmd_search(
     config: RunConfig, bound_id: str, pairs_file: Optional[str], report_all: bool
 ) -> int:
-    if bound_id not in _SEARCH_BOUND_IDS:
-        raise SystemExit(
-            f"unknown bound id {bound_id!r}; choose from {', '.join(_SEARCH_BOUND_IDS)}"
-        )
+    if bound_id not in BOUND_IDS:
+        raise SystemExit(f"unknown bound id {bound_id!r}; choose from {', '.join(BOUND_IDS)}")
     pairs: list[tuple[str, str, Graph, Graph]] = []
     if pairs_file is not None:
         with open(pairs_file, "r", encoding="utf-8") as handle:
@@ -770,7 +765,7 @@ def _cmd_search(
         corpus = _load_graphs_from_file(config.graph_file, config.graph_format)
         for i, (left, left_subject) in enumerate(corpus):
             for j in range(i, len(corpus)):
-                right, right_subject = corpus[j]
+                right = corpus[j][0]
                 name_left = left_subject.get("graph6", f"#{i}")
                 name_right = corpus[j][1].get("graph6", f"#{j}")
                 pairs.append((name_left, name_right, left, right))
@@ -824,10 +819,6 @@ def _cmd_search(
 # ---------------------------------------------------------------------------
 # worker plumbing
 # ---------------------------------------------------------------------------
-
-
-def _map_tasks(task, payloads: list, workers: int) -> list:
-    return list(_imap_tasks(task, payloads, workers))
 
 
 def _imap_tasks(task, payloads: list, workers: int) -> Iterable:

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from idomlab import bounds
 from idomlab.bounds import (
+    BOUND_IDS,
+    PAIR_BOUNDS,
     alpha_lower_bound,
     bipartite_bound,
     clawfree_bound,
     conjecture_scan,
     degree_ratio_bound,
     evaluate_pair_bound,
+    evaluate_pair_bounds,
     k2_sandwich,
     packing_total_bound,
     product_upper_bound,
@@ -28,7 +32,7 @@ from idomlab.families import (
 )
 from idomlab.graph import build_graph
 from idomlab.invariants import SolverLimits
-from idomlab.smallgraphs import random_connected_graph
+from idomlab.smallgraphs import random_connected_graph, random_graph
 
 WIDE = SolverLimits(vertex_cap=64)
 
@@ -218,6 +222,54 @@ class TestRandomApplicablePairs:
     def test_unknown_bound_id(self):
         with pytest.raises(ValueError):
             evaluate_pair_bound("no-such-bound", make_path(2), make_path(2), WIDE)
+
+
+PUBLIC_BOUNDS = {
+    "i-product-upper": product_upper_bound,
+    "alpha-product-lower": alpha_lower_bound,
+    "packing-total-lower": packing_total_bound,
+    "clawfree-factor-lower": clawfree_bound,
+    "degree-ratio-lower": degree_ratio_bound,
+    "bipartite-domination-lower": bipartite_bound,
+}
+
+
+class TestSharedProfile:
+    def test_each_invariant_solved_once(self, monkeypatch):
+        left, right = make_cycle(6), make_path(4)  # every gate passes
+        solve = bounds.invariant
+        calls = []
+
+        def counting(graph, name, limits):
+            side = {id(left): "left", id(right): "right"}.get(id(graph), "product")
+            calls.append((name, side))
+            return solve(graph, name, limits)
+
+        monkeypatch.setattr(bounds, "invariant", counting)
+        reports = evaluate_pair_bounds(BOUND_IDS, left, right, WIDE)
+        assert all(report.applicable for report in reports)
+        factor_solves = {(name, side) for name in ("i", "alpha", "rho", "gamma_t", "gamma")
+                         for side in ("left", "right")}
+        assert sorted(calls) == sorted(factor_solves | {("i", "product"), ("alpha", "product")})
+
+    def test_public_functions_match_shared_profile(self):
+        assert set(PUBLIC_BOUNDS) == set(PAIR_BOUNDS)
+        rng = random.Random(3131)
+        for _ in range(100):
+            left, right = (
+                (random_connected_graph if rng.random() < 0.7 else random_graph)(
+                    rng, rng.randint(1, 5), rng.uniform(0.2, 0.9)
+                )
+                for _ in range(2)
+            )
+            scan = dict(zip(("factor-product-lower", "factor-min-lower"),
+                            conjecture_scan(left, right, WIDE)))
+            alone = [
+                PUBLIC_BOUNDS[bound_id](left, right, WIDE) if bound_id in PUBLIC_BOUNDS
+                else scan[bound_id]
+                for bound_id in BOUND_IDS
+            ]
+            assert evaluate_pair_bounds(BOUND_IDS, left, right, WIDE) == alone
 
 
 class TestCounterexampleFamilyBrackets:

@@ -98,6 +98,21 @@ class TestVerify:
         assert code == 1
         assert json.loads(out.strip())["verdict"] == "refuted"
 
+    @pytest.mark.parametrize("value, code, verdict", [(15, 0, "verified"), (14, 1, "refuted")])
+    def test_formula_claim_ignores_product_order(self, capsys, tmp_path, value, code, verdict):
+        # rho(C9) gamma_t(C9) = 3 * 5; the 81-vertex product is above the cap
+        cert = Certificate(
+            claim="lower_bound_formula",
+            bound_id="packing-total-lower",
+            subject={"product": [{"family": "cycle:9"}, {"family": "cycle:9"}]},
+            value=value,
+        )
+        bundle = tmp_path / "formula.jsonl"
+        bundle.write_text(write_certificate(cert) + "\n")
+        got, out, _ = run_cli(capsys, "verify", str(bundle), "--cap", "40")
+        assert got == code
+        assert json.loads(out.strip())["verdict"] == verdict
+
     def test_empty_bundle(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -132,6 +147,21 @@ class TestReproduce:
     def test_unknown_target_usage(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "everything"])
+
+    def test_bounds4_passes_budget_to_solver(self, capsys, monkeypatch):
+        from idomlab import bounds
+
+        seen = set()
+
+        def recording(graph, name, limits):
+            seen.add(limits)
+            return solve(graph, name, limits)
+
+        solve = bounds.invariant
+        monkeypatch.setattr(bounds, "invariant", recording)
+        code, _, _ = run_cli(capsys, "reproduce", "bounds4", "--budget-secs", "5")
+        assert code == 0
+        assert {limits.budget_secs for limits in seen} == {5.0}
 
 
 class TestSearch:
