@@ -88,7 +88,9 @@ from .formats import (
     parse_pattern,
     print_pattern,
     read_certificate,
+    read_certificates,
     read_graph,
+    read_graphs,
     verify_certificate,
     write_certificate,
 )

@@ -111,7 +111,9 @@ def _connected(left: Graph, right: Graph) -> Optional[str]:
 
 
 def _connected_bipartite(left: Graph, right: Graph) -> Optional[str]:
-    reason = _connected(left, right)
+    # a connected factor has an isolated vertex only when it is K_1, for which
+    # i(G x H) >= 2 max(gamma(G), gamma(H)) fails
+    reason = _connected(left, right) or _isolate_free(left, right)
     if reason is None and (is_bipartite(left) is None or is_bipartite(right) is None):
         return "a factor contains an odd cycle"
     return reason

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from random import Random
 from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence
@@ -36,9 +36,8 @@ from .families import (
 )
 from .formats import (
     Certificate,
-    graph6_decode,
-    parse_edge_list,
-    read_certificate,
+    read_certificates,
+    read_graphs,
     verify_certificate,
     write_certificate,
     write_graph,
@@ -70,27 +69,8 @@ EXIT_BUDGET = 3
 
 ENV_CAP = "IDOMLAB_CAP"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    subcommand: str
-    graph_spec: Optional[str] = None
-    graph_file: Optional[str] = None
-    graph_format: str = "edge-list"
-    product_spec: Optional[str] = None
-    invariant: str = "i"
-    n: Optional[int] = None
-    k: Optional[int] = None
-    workers: int = 1
-    budget_secs: Optional[float] = None
-    cap: int = 40
-    out: str = "json"
-
-    @property
-    def limits(self) -> SolverLimits:
-        return SolverLimits(vertex_cap=self.cap, budget_secs=self.budget_secs)
+# What a solve can run out of: the vertex cap, the time budget, or the stack.
+_RESOURCE_FAILURES = (CapExceeded, BudgetExhausted, RecursionError)
 
 
 def _default_cap() -> int:
@@ -106,30 +86,9 @@ def _default_cap() -> int:
     return value
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cap = args.cap if getattr(args, "cap", None) is not None else _default_cap()
-    if cap <= 0:
-        raise SystemExit("--cap must be positive")
-    workers = getattr(args, "workers", 1) or 1
-    if workers < 1:
-        raise SystemExit("--workers must be at least 1")
-    budget = getattr(args, "budget_secs", None)
-    if budget is not None and budget <= 0:
-        raise SystemExit("--budget-secs must be positive")
-    return RunConfig(
-        subcommand=args.subcommand,
-        graph_spec=getattr(args, "graph", None),
-        graph_file=getattr(args, "graph_file", None),
-        graph_format=getattr(args, "format", "edge-list"),
-        product_spec=getattr(args, "product", None),
-        invariant=getattr(args, "invariant", "i"),
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        workers=workers,
-        budget_secs=budget,
-        cap=cap,
-        out=getattr(args, "out", "json"),
-    )
+def _limits(args: argparse.Namespace, floor: int = 0) -> SolverLimits:
+    """The run's solver limits, with the vertex cap raised to at least ``floor``."""
+    return SolverLimits(vertex_cap=max(args.cap, floor), budget_secs=args.budget_secs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +164,22 @@ def _note(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_graphs_from_file(path: str, fmt: str) -> list[tuple[Graph, dict[str, Any]]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if fmt == "graph6":
-        loaded = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            loaded.append((graph6_decode(line), {"graph6": line}))
-        if not loaded:
-            raise ValueError(f"no graph6 lines in {path}")
-        return loaded
-    if fmt == "edge-list":
-        return [(parse_edge_list(text), {"edge_list": text})]
-    raise ValueError(f"unknown graph format {fmt!r}")
+def _read_graph_file(args: argparse.Namespace) -> list[tuple[Graph, dict[str, Any]]]:
+    with open(args.graph_file, "r", encoding="utf-8") as handle:
+        graphs = read_graphs(handle.read(), args.format)
+    if not graphs:
+        raise ValueError(f"no graph6 lines in {args.graph_file}")
+    return graphs
 
 
-def _load_input_graph(config: RunConfig) -> tuple[Graph, dict[str, Any]]:
-    if config.graph_spec is not None and config.graph_file is not None:
+def _load_input_graph(args: argparse.Namespace) -> tuple[Graph, dict[str, Any]]:
+    if args.graph is not None and args.graph_file is not None:
         raise SystemExit("give either --graph or --graph-file, not both")
-    if config.graph_spec is not None:
-        spec = parse_family(config.graph_spec)  # validates at parse time
+    if args.graph is not None:
+        spec = parse_family(args.graph)  # validates at parse time
         return build_family(spec), {"family": str(spec)}
-    if config.graph_file is not None:
-        loaded = _load_graphs_from_file(config.graph_file, config.graph_format)
+    if args.graph_file is not None:
+        loaded = _read_graph_file(args)
         if len(loaded) != 1:
             raise SystemExit(
                 "the input file holds several graphs; this subcommand takes exactly one"
@@ -244,29 +193,18 @@ def _load_input_graph(config: RunConfig) -> tuple[Graph, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compute(config: RunConfig) -> int:
-    graph, subject = _load_input_graph(config)
-    limits = config.limits
-    certs: list[Certificate] = []
-    status = EXIT_OK
-
+def _cmd_compute(args: argparse.Namespace) -> int:
+    graph, subject = _load_input_graph(args)
+    limits = _limits(args)
     try:
-        if config.product_spec is None:
-            result = solve_invariant(graph, config.invariant, limits)
-            cert = Certificate(
-                claim="invariant_value",
-                invariant=config.invariant,
-                subject=subject,
-                value=result.value,
-                witness=result.witness.members(),
-                verdict="verified",
-            )
-            certs.append(_attach_query(cert, config))
+        if args.product is None:
+            result = solve_invariant(graph, args.invariant, limits)
+            value, witness = result.value, result.witness
         else:
-            product_spec = parse_family(config.product_spec)
+            product_spec = parse_family(args.product)
             right = build_family(product_spec)
-            full_subject = {"product": [subject, {"family": str(product_spec)}]}
-            if config.invariant == "i" and product_spec.kind == "complete":
+            subject = {"product": [subject, {"family": str(product_spec)}]}
+            if args.invariant == "i" and product_spec.kind == "complete":
                 order = product_spec.params[0]
                 if order < 2:
                     raise SystemExit("the complete factor must have order at least 2")
@@ -281,58 +219,36 @@ def _cmd_compute(config: RunConfig) -> int:
                             f"({cross.value}) disagree"
                         )
                     _note(f"cross-check against the product solver agreed: {value}")
-                cert = Certificate(
-                    claim="invariant_value",
-                    invariant="i",
-                    subject=full_subject,
-                    value=value,
-                    witness=witness.members(),
-                    verdict="verified",
-                )
             else:
                 product = direct_product(graph, right)
-                result = solve_invariant(product.graph, config.invariant, limits)
-                cert = Certificate(
-                    claim="invariant_value",
-                    invariant=config.invariant,
-                    subject=full_subject,
-                    value=result.value,
-                    witness=result.witness.members(),
-                    verdict="verified",
-                )
-            certs.append(_attach_query(cert, config))
-    except (CapExceeded, BudgetExhausted) as exc:
+                result = solve_invariant(product.graph, args.invariant, limits)
+                value, witness = result.value, result.witness
+    except _RESOURCE_FAILURES as exc:
         _note(f"aborted: {exc}")
-        certs.append(
-            Certificate(
-                claim="invariant_value",
-                invariant=config.invariant,
-                subject=subject if config.product_spec is None else full_subject,
-                value=-1,
-                verdict="unchecked",
-            )
-        )
         status = EXIT_BUDGET
-
-    _emit_certificates(certs, config.out)
+        cert = Certificate(
+            claim="invariant_value",
+            invariant=args.invariant,
+            subject=subject,
+            value=-1,
+            verdict="unchecked",
+        )
+    else:
+        status = EXIT_OK
+        cert = Certificate(
+            claim="invariant_value",
+            invariant=args.invariant,
+            subject=subject,
+            value=value,
+            witness=witness.members(),
+            verdict="verified",
+        )
+        if args.k is not None:
+            answer = value <= args.k
+            _note(f"decision: value {value} <= {args.k} is {str(answer).lower()}")
+            cert = replace(cert, query={"k": args.k, "satisfied": answer})
+    _emit_certificates([cert], args.out)
     return status
-
-
-def _attach_query(cert: Certificate, config: RunConfig) -> Certificate:
-    if config.k is None:
-        return cert
-    answer = cert.value <= config.k
-    query = {"k": config.k, "satisfied": answer}
-    _note(f"decision: value {cert.value} <= {config.k} is {str(answer).lower()}")
-    return Certificate(
-        claim=cert.claim,
-        subject=cert.subject,
-        value=cert.value,
-        verdict=cert.verdict,
-        invariant=cert.invariant,
-        witness=cert.witness,
-        query=query,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +256,11 @@ def _attach_query(cert: Certificate, config: RunConfig) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_export(config: RunConfig, out_file: Optional[str], fmt: str) -> int:
-    graph, subject = _load_input_graph(config)
+def _cmd_export(args: argparse.Namespace) -> int:
+    graph, subject = _load_input_graph(args)
     meta: dict[str, Any] = dict(subject) if "family" in subject else {}
-    if config.product_spec is not None:
-        right = build_family(config.product_spec)
+    if args.product is not None:
+        right = build_family(args.product)
         product = direct_product(graph, right)
         meta = {
             "nG": product.left.n,
@@ -354,17 +270,17 @@ def _cmd_export(config: RunConfig, out_file: Optional[str], fmt: str) -> int:
         graph = product.graph
     if graph.labels is not None:
         meta["labels"] = list(graph.labels)
-    payload = write_graph(graph, fmt)
-    if out_file is None:
+    payload = write_graph(graph, args.write_format)
+    if args.out_file is None:
         sys.stdout.write(payload)
         if meta:
             _note("metadata sidecar omitted on stdout; use --out-file to write it")
         return EXIT_OK
-    extension = "g6" if fmt == "graph6" else "edges"
-    graph_path = f"{out_file}.{extension}"
+    extension = "g6" if args.write_format == "graph6" else "edges"
+    graph_path = f"{args.out_file}.{extension}"
     with open(graph_path, "w", encoding="utf-8") as handle:
         handle.write(payload)
-    sidecar_path = f"{out_file}.meta.json"
+    sidecar_path = f"{args.out_file}.meta.json"
     with open(sidecar_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
@@ -377,25 +293,19 @@ def _cmd_export(config: RunConfig, out_file: Optional[str], fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(config: RunConfig, path: str) -> int:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = [line for line in text.splitlines() if line.strip()]
-    certificates = []
-    if not lines:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    with open(args.certificates, "r", encoding="utf-8") as handle:
+        certificates = read_certificates(handle.read())
+    if not certificates:
         _note("empty bundle: zero claims")
         return EXIT_OK
-    if lines[0].lstrip().startswith("["):
-        for item in json.loads(text):
-            certificates.append(read_certificate(json.dumps(item)))
-    else:
-        certificates = [read_certificate(line) for line in lines]
 
+    limits = _limits(args)
     rows = []
     refuted = 0
     unchecked = 0
     for index, cert in enumerate(certificates):
-        verdict = verify_certificate(cert, config.limits)
+        verdict = verify_certificate(cert, limits)
         if verdict == "refuted":
             refuted += 1
         elif verdict != "verified":
@@ -409,7 +319,7 @@ def _cmd_verify(config: RunConfig, path: str) -> int:
                 "verdict": verdict,
             }
         )
-    _emit_rows(rows, config.out)
+    _emit_rows(rows, args.out)
     _note(
         f"{len(certificates)} claims: {len(certificates) - refuted - unchecked} verified, "
         f"{refuted} refuted, {unchecked} unchecked"
@@ -430,13 +340,10 @@ TABLE1_EXPECTED = {
     "cycle": (3, 4, 5, 4, 5, 6, 6, 7, 8, 8),
 }
 
-REPRODUCE_TARGETS = ("table1", "prop34", "thm32", "bounds4", "conj-refutation", "thm12")
 
-
-def _reproduce_table1(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    limits = SolverLimits(vertex_cap=max(config.cap, 36), budget_secs=config.budget_secs)
+def _reproduce_table1(args: argparse.Namespace) -> list[dict[str, Any]]:
+    limits = _limits(args, 36)
     rows = []
-    failures = 0
     k3 = make_complete(3)
     for kind in ("path", "cycle"):
         for offset, m in enumerate(range(3, 13)):
@@ -447,7 +354,6 @@ def _reproduce_table1(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
             ).value
             via_weight = minimize_weight(graph, 3, limits)[1]
             ok = via_product == expected and via_weight == expected
-            failures += 0 if ok else 1
             rows.append(
                 {
                     "target": "table1",
@@ -459,13 +365,12 @@ def _reproduce_table1(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
                     "status": "ok" if ok else "MISMATCH",
                 }
             )
-    return rows, failures
+    return rows
 
 
-def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    limits = SolverLimits(vertex_cap=max(config.cap, 48), budget_secs=config.budget_secs)
+def _reproduce_prop34(args: argparse.Namespace) -> list[dict[str, Any]]:
+    limits = _limits(args, 48)
     rows = []
-    failures = 0
     for kind in ("path", "cycle"):
         for n in (2, 3, 4):
             kn = make_complete(n)
@@ -476,7 +381,6 @@ def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
                     direct_product(graph, kn).graph, limits
                 ).value
                 ok = formula == exact
-                failures += 0 if ok else 1
                 rows.append(
                     {
                         "target": "prop34",
@@ -497,7 +401,6 @@ def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
             expected = formula_value(kind, m, 3)
             got = weight(labelling)
             ok = legal and got == expected
-            failures += 0 if ok else 1
             rows.append(
                 {
                     "target": "prop34",
@@ -511,11 +414,11 @@ def _reproduce_prop34(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
                     "status": "ok" if ok else "MISMATCH",
                 }
             )
-    return rows, failures
+    return rows
 
 
-def _reproduce_thm32(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    limits = SolverLimits(vertex_cap=max(config.cap, 20), budget_secs=config.budget_secs)
+def _reproduce_thm32(args: argparse.Namespace) -> list[dict[str, Any]]:
+    limits = _limits(args, 20)
     rng = Random(320)
     checked = 0
     violations = 0
@@ -530,7 +433,7 @@ def _reproduce_thm32(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
     star_tight = star.lhs == int(star.detail["i_product_k2"]) == 2
     kbip = k2_sandwich(make_complete_bipartite(3, 3), limits)
     kbip_tight = int(kbip.detail["i_product_k2"]) == kbip.rhs == 6
-    rows = [
+    return [
         {
             "target": "thm32",
             "check": "sandwich-random",
@@ -549,8 +452,6 @@ def _reproduce_thm32(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
             "status": "ok" if kbip_tight else "MISMATCH",
         },
     ]
-    failures = (0 if violations == 0 else 1) + (0 if star_tight else 1) + (0 if kbip_tight else 1)
-    return rows, failures
 
 
 def _sample_bound_pair(rng: Random) -> tuple[Graph, Graph]:
@@ -579,10 +480,9 @@ _BOUNDS4 = (
 
 
 def _bounds4_task(
-    payload: tuple[int, Optional[float], tuple[int, ...], tuple[int, ...]]
+    payload: tuple[SolverLimits, tuple[int, ...], tuple[int, ...]]
 ) -> tuple[int, int, int]:
-    cap, budget, left_rows, right_rows = payload
-    limits = SolverLimits(vertex_cap=cap, budget_secs=budget)
+    limits, left_rows, right_rows = payload
     left = Graph(len(left_rows), left_rows)
     right = Graph(len(right_rows), right_rows)
     applicable = 0
@@ -595,17 +495,17 @@ def _bounds4_task(
     return applicable, violations, left.n * right.n
 
 
-def _reproduce_bounds4(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    cap = max(config.cap, 36)
+def _reproduce_bounds4(args: argparse.Namespace) -> list[dict[str, Any]]:
+    limits = _limits(args, 36)
     rng = Random(44)
     payloads = []
     for _ in range(500):
         left, right = _sample_bound_pair(rng)
-        payloads.append((cap, config.budget_secs, left.adj, right.adj))
-    results = list(_imap_tasks(_bounds4_task, payloads, config.workers))
+        payloads.append((limits, left.adj, right.adj))
+    results = list(_imap_tasks(_bounds4_task, payloads, args.workers))
     applicable = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
-    rows = [
+    return [
         {
             "target": "bounds4",
             "pairs": len(payloads),
@@ -614,13 +514,11 @@ def _reproduce_bounds4(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
             "status": "ok" if violations == 0 else "MISMATCH",
         }
     ]
-    return rows, 0 if violations == 0 else 1
 
 
-def _reproduce_conj_refutation(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    limits = SolverLimits(vertex_cap=max(config.cap, 40), budget_secs=config.budget_secs)
+def _reproduce_conj_refutation(args: argparse.Namespace) -> list[dict[str, Any]]:
+    limits = _limits(args, 40)
     rows = []
-    failures = 0
 
     x3 = build_family("X:3")
     h3 = build_family("cocktail:3")
@@ -630,7 +528,6 @@ def _reproduce_conj_refutation(config: RunConfig) -> tuple[list[dict[str, Any]],
     witness_ok = is_maximal_independent(product3.graph, witness3)
     strict = len(witness3) < i_x3 * i_h3
     ok = i_x3 == 5 and i_h3 == 2 and witness_ok and strict
-    failures += 0 if ok else 1
     rows.append(
         {
             "target": "conj-refutation",
@@ -650,7 +547,6 @@ def _reproduce_conj_refutation(config: RunConfig) -> tuple[list[dict[str, Any]],
     witness_ok7 = is_maximal_independent(product7.graph, witness7)
     below_factor = len(witness7) < i_x7
     ok7 = i_x7 == 9 and witness_ok7 and below_factor
-    failures += 0 if ok7 else 1
     rows.append(
         {
             "target": "conj-refutation",
@@ -662,16 +558,14 @@ def _reproduce_conj_refutation(config: RunConfig) -> tuple[list[dict[str, Any]],
             "status": "ok" if ok7 else "MISMATCH",
         }
     )
-    return rows, failures
+    return rows
 
 
-def _reproduce_thm12(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
-    n = config.n if config.n is not None else 11
+def _reproduce_thm12(args: argparse.Namespace) -> list[dict[str, Any]]:
+    n = args.n if args.n is not None else 11
     if n < 1:
         raise SystemExit("--n must be positive")
-    rows = []
-    failures = 0
-    limits = SolverLimits(vertex_cap=max(config.cap, 34), budget_secs=config.budget_secs)
+    limits = _limits(args, 34)
 
     product, witness = extreme_product(n)
     witness_ok = is_maximal_independent(product.graph, witness)
@@ -682,6 +576,7 @@ def _reproduce_thm12(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
         "witness_size": len(witness),
         "witness_verified": witness_ok,
     }
+    exact_ok = True
     for side, spec in (("left", f"Gn:{n}"), ("right", f"Hn:{n}")):
         graph, factor_witness = build_family_with_witness(spec)
         factor_ok = factor_witness is not None and is_maximal_independent(graph, factor_witness)
@@ -691,36 +586,36 @@ def _reproduce_thm12(config: RunConfig) -> tuple[list[dict[str, Any]], int]:
         if n <= 4:
             exact = independent_domination_number(graph, limits).value
             row[f"{side}_exact_i"] = exact
-            if exact != n + 2:
-                failures += 1
+            exact_ok = exact_ok and exact == n + 2
     separation = len(witness) < n + 2
     row["product_bound_below_factor_bound"] = separation
-    ok = witness_ok and (separation or n <= 10)
-    failures += 0 if ok else 1
-    row["status"] = "ok" if ok and failures == 0 else "MISMATCH"
-    rows.append(row)
-    return rows, failures
+    ok = witness_ok and exact_ok and (separation or n <= 10)
+    row["status"] = "ok" if ok else "MISMATCH"
+    return [row]
 
 
-def _reproduce(config: RunConfig, target: str) -> int:
-    handlers = {
-        "table1": _reproduce_table1,
-        "prop34": _reproduce_prop34,
-        "thm32": _reproduce_thm32,
-        "bounds4": _reproduce_bounds4,
-        "conj-refutation": _reproduce_conj_refutation,
-        "thm12": _reproduce_thm12,
-    }
+_REPRODUCERS = {
+    "table1": _reproduce_table1,
+    "prop34": _reproduce_prop34,
+    "thm32": _reproduce_thm32,
+    "bounds4": _reproduce_bounds4,
+    "conj-refutation": _reproduce_conj_refutation,
+    "thm12": _reproduce_thm12,
+}
+
+
+def _reproduce(args: argparse.Namespace) -> int:
     started = perf_counter()
     try:
-        rows, failures = handlers[target](config)
-    except (CapExceeded, BudgetExhausted) as exc:
+        rows = _REPRODUCERS[args.target](args)
+    except _RESOURCE_FAILURES as exc:
         _note(f"aborted: {exc}")
         return EXIT_BUDGET
-    _emit_rows(rows, config.out)
-    checked = len(rows)
+    _emit_rows(rows, args.out)
+    failures = sum(row["status"] != "ok" for row in rows)
     _note(
-        f"{target}: {checked - failures}/{checked} rows ok in {perf_counter() - started:.1f}s"
+        f"{args.target}: {len(rows) - failures}/{len(rows)} rows ok "
+        f"in {perf_counter() - started:.1f}s"
     )
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
@@ -730,15 +625,14 @@ def _reproduce(config: RunConfig, target: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _search_task(
-    payload: tuple[str, int, Optional[float], tuple[int, ...], tuple[int, ...]]
-) -> Optional[dict[str, Any]]:
-    bound_id, cap, budget, left_rows, right_rows = payload
-    limits = SolverLimits(vertex_cap=cap, budget_secs=budget)
+    payload: tuple[str, SolverLimits, tuple[int, ...], tuple[int, ...]]
+) -> dict[str, Any]:
+    bound_id, limits, left_rows, right_rows = payload
     left = Graph(len(left_rows), left_rows)
     right = Graph(len(right_rows), right_rows)
     try:
         reports = evaluate_pair_bound(bound_id, left, right, limits)
-    except (CapExceeded, BudgetExhausted):
+    except _RESOURCE_FAILURES:
         return {"error": "budget"}
     report = reports[0]
     return {
@@ -749,20 +643,19 @@ def _search_task(
     }
 
 
-def _cmd_search(
-    config: RunConfig, bound_id: str, pairs_file: Optional[str], report_all: bool
-) -> int:
+def _cmd_search(args: argparse.Namespace) -> int:
+    bound_id = args.bound
     if bound_id not in BOUND_IDS:
         raise SystemExit(f"unknown bound id {bound_id!r}; choose from {', '.join(BOUND_IDS)}")
     pairs: list[tuple[str, str, Graph, Graph]] = []
-    if pairs_file is not None:
-        with open(pairs_file, "r", encoding="utf-8") as handle:
+    if args.pairs_file is not None:
+        with open(args.pairs_file, "r", encoding="utf-8") as handle:
             manifest = parse_pair_manifest(handle.read())
         pairs = [
             (left, right, build_family(left), build_family(right)) for left, right in manifest
         ]
-    elif config.graph_file is not None:
-        corpus = _load_graphs_from_file(config.graph_file, config.graph_format)
+    elif args.graph_file is not None:
+        corpus = _read_graph_file(args)
         for i, (left, left_subject) in enumerate(corpus):
             for j in range(i, len(corpus)):
                 right = corpus[j][0]
@@ -773,17 +666,17 @@ def _cmd_search(
         raise SystemExit("search needs --graph-file (graph6 corpus) or --pairs-file")
 
     deadline = None
-    if config.budget_secs is not None:
-        deadline = perf_counter() + config.budget_secs
-    payloads = [
-        (bound_id, config.cap, None, left.adj, right.adj) for _, _, left, right in pairs
-    ]
+    if args.budget_secs is not None:
+        deadline = perf_counter() + args.budget_secs
+    # the budget bounds the whole scan, checked between pairs, not each solve
+    limits = SolverLimits(vertex_cap=args.cap)
+    payloads = [(bound_id, limits, left.adj, right.adj) for _, _, left, right in pairs]
     rows: list[dict[str, Any]] = []
     violations = 0
     budget_hit = False
     done = 0
 
-    for index, result in enumerate(_imap_tasks(_search_task, payloads, config.workers)):
+    for index, result in enumerate(_imap_tasks(_search_task, payloads, args.workers)):
         done = index + 1
         name_left, name_right, _, _ = pairs[index]
         if result.get("error") == "budget":
@@ -791,7 +684,7 @@ def _cmd_search(
             break
         if result["violation"]:
             violations += 1
-        if result["violation"] or report_all:
+        if result["violation"] or args.report_all:
             rows.append(
                 {
                     "bound_id": bound_id,
@@ -807,7 +700,7 @@ def _cmd_search(
 
     if budget_hit and done < len(pairs):
         rows.append({"partial_scan": True, "pairs_done": done, "pairs_total": len(pairs)})
-    _emit_rows(rows, config.out)
+    _emit_rows(rows, args.out)
     _note(
         f"scanned {done}/{len(pairs)} pairs against {bound_id}: {violations} violation(s)"
     )
@@ -875,7 +768,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format on stdout",
         )
 
+    def add_writer(name: str, summary: str, product_required: bool, written: str) -> None:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=_cmd_export)
+        add_common(p)
+        p.add_argument("--product", required=product_required, help="second factor family spec")
+        p.add_argument("--out-file", help="basename for graph + sidecar files")
+        p.add_argument(
+            "--write-format",
+            choices=("edge-list", "graph6"),
+            default="edge-list",
+            help=f"serialization for {written}",
+        )
+
     p_compute = sub.add_parser("compute", help="compute an invariant with a witness")
+    p_compute.set_defaults(run=_cmd_compute)
     add_common(p_compute)
     p_compute.add_argument("--product", help="second factor family spec")
     p_compute.add_argument(
@@ -885,27 +792,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument("--k", type=int, help="answer: is the value at most k?")
 
-    p_product = sub.add_parser("product", help="build a direct product and write it out")
-    add_common(p_product)
-    p_product.add_argument("--product", required=True, help="second factor family spec")
-    p_product.add_argument("--out-file", help="basename for graph + sidecar files")
-    p_product.add_argument(
-        "--write-format",
-        choices=("edge-list", "graph6"),
-        default="edge-list",
-        help="serialization for the product graph",
-    )
+    add_writer("product", "build a direct product and write it out", True, "the product graph")
 
     p_verify = sub.add_parser("verify", help="re-check a certificate bundle")
+    p_verify.set_defaults(run=_cmd_verify)
     add_common(p_verify, with_inputs=False)
     p_verify.add_argument("certificates", help="path to a JSON/JSONL certificate bundle")
 
     p_repro = sub.add_parser("reproduce", help="re-derive a published result table")
+    p_repro.set_defaults(run=_reproduce)
     add_common(p_repro, with_inputs=False)
-    p_repro.add_argument("target", choices=REPRODUCE_TARGETS)
+    p_repro.add_argument("target", choices=tuple(_REPRODUCERS))
     p_repro.add_argument("--n", type=int, help="size parameter for thm12")
 
     p_search = sub.add_parser("search", help="scan graph pairs for bound violations")
+    p_search.set_defaults(run=_cmd_search)
     add_common(p_search)
     p_search.add_argument("--bound", required=True, help="bound id to test")
     p_search.add_argument(
@@ -917,36 +818,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a row for every pair, not only violations",
     )
 
-    p_export = sub.add_parser("export", help="write a family graph with its sidecar")
-    add_common(p_export)
-    p_export.add_argument("--product", help="second factor family spec")
-    p_export.add_argument("--out-file", help="basename for graph + sidecar files")
-    p_export.add_argument(
-        "--write-format",
-        choices=("edge-list", "graph6"),
-        default="edge-list",
-        help="serialization for the graph",
-    )
+    add_writer("export", "write a family graph with its sidecar", False, "the graph")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.subcommand == "compute":
-            return _cmd_compute(config)
-        if args.subcommand in ("product", "export"):
-            return _cmd_export(config, args.out_file, args.write_format)
-        if args.subcommand == "verify":
-            return _cmd_verify(config, args.certificates)
-        if args.subcommand == "reproduce":
-            return _reproduce(config, args.target)
-        if args.subcommand == "search":
-            return _cmd_search(config, args.bound, args.pairs_file, args.report_all)
-        raise SystemExit(f"unknown subcommand {args.subcommand!r}")
+        if args.cap is None:
+            args.cap = _default_cap()
+        if args.cap <= 0:
+            raise SystemExit("--cap must be positive")
+        args.workers = args.workers or 1  # --workers 0 means one worker
+        if args.workers < 1:
+            raise SystemExit("--workers must be at least 1")
+        if args.budget_secs is not None and args.budget_secs <= 0:
+            raise SystemExit("--budget-secs must be positive")
+        return args.run(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             _note(exc.code)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
+from .bounds import bound_rhs
 from .graph import Graph, VertexSet, build_graph
 from .invariants import (
     DEFAULT_LIMITS,
@@ -140,13 +141,31 @@ def graph6_decode(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def read_graph(text: str, fmt: str) -> Graph:
-    """Parse a graph from text in the named format."""
+def read_graphs(text: str, fmt: str) -> list[tuple[Graph, dict[str, str]]]:
+    """Every graph in a file's text, each with the certificate subject naming it.
+
+    An edge-list text holds one graph, named ``{"edge_list": text}``.  A graph6
+    text holds one graph a line, named ``{"graph6": line}``; blank lines and
+    lines starting with ``#`` are skipped, so the list may be empty.
+    """
     if fmt == "edge-list":
-        return parse_edge_list(text)
+        return [(parse_edge_list(text), {"edge_list": text})]
     if fmt == "graph6":
-        return graph6_decode(text)
+        lines = (line.strip() for line in text.splitlines())
+        return [
+            (graph6_decode(line), {"graph6": line})
+            for line in lines
+            if line and not line.startswith("#")
+        ]
     raise ValueError(f"unknown graph format {fmt!r}; use 'edge-list' or 'graph6'")
+
+
+def read_graph(text: str, fmt: str) -> Graph:
+    """Parse the one graph in a text in the named format."""
+    graphs = read_graphs(text, fmt)
+    if len(graphs) != 1:
+        raise ValueError(f"expected one graph, the text holds {len(graphs)}")
+    return graphs[0][0]
 
 
 def write_graph(graph: Graph, fmt: str) -> str:
@@ -242,8 +261,11 @@ CLAIM_KINDS = (
     "refutation",
 )
 
-# maximizing invariants: the witness certifies "value is attainable from below"
-_MAXIMIZING = {"alpha", "rho"}
+# The conjecture relation a refutation names, as its id in the bounds table.
+_REFUTED_BOUNDS = {
+    "product_of_factors": "factor-product-lower",
+    "min_of_factors": "factor-min-lower",
+}
 
 
 @dataclass(frozen=True)
@@ -298,6 +320,20 @@ def read_certificate(text: str) -> Certificate:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from None
+    return _certificate_from_payload(payload)
+
+
+def read_certificates(text: str) -> list[Certificate]:
+    """Parse a bundle: a JSON array of certificates, or one certificate a line.
+
+    Blank lines are skipped; an empty bundle gives an empty list.
+    """
+    if text.lstrip().startswith("["):
+        return [_certificate_from_payload(item) for item in json.loads(text)]
+    return [read_certificate(line) for line in text.splitlines() if line.strip()]
+
+
+def _certificate_from_payload(payload: Any) -> Certificate:
     if not isinstance(payload, dict):
         raise ValueError("certificate JSON must be an object")
     claim = payload.get("claim")
@@ -349,11 +385,7 @@ def resolve_subject(subject: dict[str, Any] | str):
     if key == "product":
         if not isinstance(value, list) or len(value) != 2:
             raise ValueError("product subjects take exactly two factor subjects")
-        left = resolve_subject(value[0])
-        right = resolve_subject(value[1])
-        left_graph = left.graph if hasattr(left, "graph") else left
-        right_graph = right.graph if hasattr(right, "graph") else right
-        return direct_product(left_graph, right_graph)
+        return direct_product(_subject_graph(value[0]), _subject_graph(value[1]))
     raise ValueError(f"unknown certificate subject kind {key!r}")
 
 
@@ -413,8 +445,6 @@ def verify_certificate(
         return "verified" if weight(lab) == cert.value else "refuted"
 
     if cert.claim == "lower_bound_formula":
-        from .bounds import bound_rhs
-
         if cert.bound_id is None:
             return "refuted"
         subject = cert.subject
@@ -443,19 +473,13 @@ def verify_certificate(
             return "refuted"
         if len(witness) != cert.value or cert.value >= cert.threshold:
             return "refuted"
-        left = product.left
-        right = product.right
+        if cert.relation not in _REFUTED_BOUNDS:
+            raise ValueError(f"unknown refutation relation {cert.relation!r}")
+        bound_id = _REFUTED_BOUNDS[cert.relation]
         try:
-            i_left = invariant(left, "i", limits).value
-            i_right = invariant(right, "i", limits).value
+            expected = bound_rhs(bound_id, product.left, product.right, limits)
         except CapExceeded:
             return "unchecked"
-        if cert.relation == "product_of_factors":
-            expected = i_left * i_right
-        elif cert.relation == "min_of_factors":
-            expected = min(i_left, i_right)
-        else:
-            raise ValueError(f"unknown refutation relation {cert.relation!r}")
         return "verified" if expected == cert.threshold else "refuted"
 
     raise ValueError(f"unknown certificate claim {cert.claim!r}")

@@ -118,8 +118,3 @@ def project(product: ProductGraph, side: str, subset: VertexSet) -> VertexSet:
             bits |= 1 << (v % nh)
         return VertexSet(product.right.n, bits)
     raise ValueError('side must be "G" or "H"')
-
-
-def layer_intersection(product: ProductGraph, subset: VertexSet, g: int) -> VertexSet:
-    """``subset`` restricted to the H-layer over ``g``."""
-    return subset.intersection(layer(product, "H", g))

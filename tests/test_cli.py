@@ -1,12 +1,16 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from idomlab import cli
 from idomlab.cli import main
 from idomlab.formats import read_certificate, write_certificate, Certificate
 
-BUNDLE = os.path.join(os.path.dirname(__file__), "..", "data", "thm12_n11_witnesses.jsonl")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+BUNDLE = os.path.join(ROOT, "data", "thm12_n11_witnesses.jsonl")
+PAPER_FIXTURES = os.path.join(ROOT, "bench", "fixtures", "paper")
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +78,15 @@ class TestCompute:
         monkeypatch.setenv("IDOMLAB_CAP", "not-a-number")
         code, _, _ = run_cli(capsys, "compute", "--graph", "X:3", "--invariant", "i")
         assert code == 2
+
+    def test_recursion_limit_gives_budget_exit(self, capsys):
+        # the search on a 3000-vertex path runs out of stack before its first clock check
+        code, out, err = run_cli(
+            capsys, "compute", "--graph", "path:3000", "--invariant", "i",
+            "--cap", "5000", "--budget-secs", "0.5",
+        )
+        assert code == 3 and err.startswith("aborted:")
+        assert json.loads(out.strip())["verdict"] == "unchecked"
 
 
 class TestVerify:
@@ -148,6 +161,14 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             main(["reproduce", "everything"])
 
+    def test_thm12_factor_mismatch_counts_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "independent_domination_number", lambda graph, limits: SimpleNamespace(value=6)
+        )
+        code, out, err = run_cli(capsys, "reproduce", "thm12", "--n", "3")
+        assert code == 1 and json.loads(out)["status"] == "MISMATCH"
+        assert err.startswith("thm12: 0/1 rows ok")
+
     def test_bounds4_passes_budget_to_solver(self, capsys, monkeypatch):
         from idomlab import bounds
 
@@ -203,6 +224,16 @@ class TestSearch:
         code, _, _ = run_cli(capsys, "search", "--pairs-file", "x", "--bound", "nonsense")
         assert code == 2
 
+    def test_bipartite_gate_rejects_one_vertex_factor(self, capsys, tmp_path):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("complete:1 complete:1\n")
+        code, out, _ = run_cli(
+            capsys, "search", "--pairs-file", str(manifest),
+            "--bound", "bipartite-domination-lower", "--report-all",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "inapplicable"
+
 
 class TestExportAndProduct:
     def test_export_graph6_with_sidecar(self, capsys, tmp_path):
@@ -242,6 +273,21 @@ class TestExportAndProduct:
     def test_stdout_mode(self, capsys):
         code, out, _ = run_cli(capsys, "export", "--graph", "path:3", "--write-format", "graph6")
         assert code == 0 and out.strip() == "Bg"
+
+
+@pytest.mark.parametrize(
+    "label, argv",
+    [
+        (f"reproduce.{target}", ("reproduce", target, "--cap", "40"))
+        for target in ("table1", "prop34", "thm32", "bounds4", "conj-refutation", "thm12")
+    ]
+    + [("verify", ("verify", BUNDLE, "--cap", "64"))],
+)
+def test_paper_output_matches_recorded_fixture(capsys, label, argv):
+    with open(os.path.join(PAPER_FIXTURES, f"{label}.out"), encoding="utf-8") as handle:
+        expected = handle.read()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
 
 
 class TestDeterminism:

@@ -14,7 +14,9 @@ from idomlab.formats import (
     parse_pattern,
     print_pattern,
     read_certificate,
+    read_certificates,
     read_graph,
+    read_graphs,
     resolve_subject,
     verify_certificate,
     write_certificate,
@@ -127,6 +129,21 @@ class TestGraph6:
         assert read_graph("A_", "graph6").edge_count() == 1
         with pytest.raises(ValueError):
             read_graph("A_", "sparse6")
+        assert read_graph("# K_3\n\nBw\n", "graph6").edge_count() == 3
+        with pytest.raises(ValueError):
+            read_graph("A_\nBw\n", "graph6")
+        pair = read_graphs("A_\nBw\n", "graph6")
+        assert [(g.n, subject) for g, subject in pair] == [
+            (2, {"graph6": "A_"}),
+            (3, {"graph6": "Bw"}),
+        ]
+        certs = [
+            Certificate(claim="invariant_value", subject={"family": f"path:{m}"}, value=m)
+            for m in (2, 3)
+        ]
+        lines = [write_certificate(cert) for cert in certs]
+        assert read_certificates("\n".join(lines) + "\n\n") == certs
+        assert read_certificates(" [" + ",".join(lines) + "]") == certs
 
 
 class TestPatternSyntax:
