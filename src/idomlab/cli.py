@@ -69,8 +69,8 @@ EXIT_BUDGET = 3
 
 ENV_CAP = "IDOMLAB_CAP"
 
-# What a solve can run out of: the vertex cap, the time budget, or the stack.
-_RESOURCE_FAILURES = (CapExceeded, BudgetExhausted, RecursionError)
+# What a solve can run out of: the vertex cap or the time budget.
+_RESOURCE_FAILURES = (CapExceeded, BudgetExhausted)
 
 
 def _default_cap() -> int:

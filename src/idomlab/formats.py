@@ -18,6 +18,7 @@ from .graph import Graph, VertexSet, build_graph
 from .invariants import (
     DEFAULT_LIMITS,
     PREDICATES,
+    BudgetExhausted,
     CapExceeded,
     SolverLimits,
     invariant,
@@ -315,12 +316,17 @@ def write_certificate(certificate: Certificate) -> str:
     return json.dumps(certificate.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def read_certificate(text: str) -> Certificate:
+def _load_json(text: str) -> Any:
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from None
-    return _certificate_from_payload(payload)
+    except RecursionError:
+        raise ValueError("certificate JSON nests too deeply") from None
+
+
+def read_certificate(text: str) -> Certificate:
+    return _certificate_from_payload(_load_json(text))
 
 
 def read_certificates(text: str) -> list[Certificate]:
@@ -329,7 +335,7 @@ def read_certificates(text: str) -> list[Certificate]:
     Blank lines are skipped; an empty bundle gives an empty list.
     """
     if text.lstrip().startswith("["):
-        return [_certificate_from_payload(item) for item in json.loads(text)]
+        return [_certificate_from_payload(item) for item in _load_json(text)]
     return [read_certificate(line) for line in text.splitlines() if line.strip()]
 
 
@@ -400,7 +406,8 @@ def verify_certificate(
     """Re-check a claim from the certificate contents alone.
 
     Returns ``"verified"``, ``"refuted"``, or ``"unchecked"`` (the latter
-    when full confirmation would need an exact solve above the cap).
+    when full confirmation would need an exact solve above the cap or one
+    that runs out of its budget).
     Witness checks are polynomial and run at any size.
     """
     if isinstance(certificate, str):
@@ -426,7 +433,7 @@ def verify_certificate(
         # exact-value claims additionally re-solve when the cap allows
         try:
             result = invariant(graph, cert.invariant, limits)
-        except CapExceeded:
+        except (CapExceeded, BudgetExhausted):
             return "unchecked"
         return "verified" if result.value == cert.value else "refuted"
 
@@ -454,7 +461,7 @@ def verify_certificate(
         right = _subject_graph(subject["product"][1])
         try:
             rhs = bound_rhs(cert.bound_id, left, right, limits)
-        except CapExceeded:
+        except (CapExceeded, BudgetExhausted):
             return "unchecked"
         return "verified" if rhs == cert.value else "refuted"
 
@@ -478,7 +485,7 @@ def verify_certificate(
         bound_id = _REFUTED_BOUNDS[cert.relation]
         try:
             expected = bound_rhs(bound_id, product.left, product.right, limits)
-        except CapExceeded:
+        except (CapExceeded, BudgetExhausted):
             return "unchecked"
         return "verified" if expected == cert.threshold else "refuted"
 

@@ -45,19 +45,15 @@ DEFAULT_LIMITS = SolverLimits()
 
 
 class _Deadline:
-    """Cheap cooperative deadline checked every few thousand search nodes."""
+    """Cooperative deadline, read at every search node."""
 
-    __slots__ = ("t_end", "ticks")
+    __slots__ = ("t_end",)
 
     def __init__(self, budget_secs: Optional[float]):
         self.t_end = None if budget_secs is None else perf_counter() + budget_secs
-        self.ticks = 0
 
     def tick(self) -> None:
-        if self.t_end is None:
-            return
-        self.ticks += 1
-        if self.ticks & 0xFFF == 0 and perf_counter() > self.t_end:
+        if self.t_end is not None and perf_counter() > self.t_end:
             raise BudgetExhausted("solver budget exhausted")
 
 
@@ -156,10 +152,12 @@ PREDICATES = {
 # and the maximum independent set search and labelling.minimize_weight rely
 # on the same four conditions:
 #   1. the search branches on the lowest-index undecided vertex;
-#   2. it tries "in" before "out", so optima of equal size are reached in
-#      lexicographic order of their sorted members;
-#   3. it prunes strictly (bound >= best), so no subtree holding an optimum
-#      is cut before the first optimum is reached;
+#   2. it pushes "out" before "in", so "in" comes off the stack first and
+#      optima of equal size are reached in lexicographic order of their
+#      sorted members;
+#   3. it prunes strictly (bound >= best) and reads ``best`` when an entry is
+#      popped, so no subtree holding an optimum is cut before the first
+#      optimum is reached;
 #   4. ``best`` starts at a known feasible size + 1, so an optimum of exactly
 #      that size is still reached in order.
 # Every leaf that improves ``best`` is recorded; the first optimum reached is
@@ -212,6 +210,43 @@ def _propagate(
             covered |= coverage[w]
 
 
+def _cover_leaves(
+    full: int,
+    deadline: _Deadline,
+    coverage: tuple[int, ...],
+    chooser: tuple[int, ...],
+    conflict: tuple[int, ...],
+    bound: list[int],
+) -> Iterator[int]:
+    """Yield the chosen set of every leaf the cover search reaches, in order.
+
+    A node is cut when its size bound reaches ``bound[0]``, which is read at
+    every node, so the caller may lower it between leaves.
+    """
+    denom = max((row.bit_count() for row in coverage), default=1)
+    stack = [(0, 0, 0)]
+    while stack:
+        deadline.tick()
+        chosen, rejected, covered = stack.pop()
+        state = _propagate(coverage, chooser, conflict, full, chosen, rejected, covered)
+        if state is None:
+            continue
+        chosen, rejected, covered = state
+        k = chosen.bit_count()
+        uncovered = full & ~covered
+        if k + (uncovered.bit_count() + denom - 1) // denom >= bound[0]:
+            continue
+        if uncovered == 0:
+            yield chosen
+            continue
+        # propagation leaves every uncovered vertex an undecided option
+        undecided = full & ~chosen & ~rejected
+        v_bit = undecided & -undecided
+        v = v_bit.bit_length() - 1
+        stack.append((chosen, rejected | v_bit, covered))
+        stack.append((chosen | v_bit, rejected | conflict[v], covered | coverage[v]))
+
+
 def _solve_min_cover(
     graph: Graph,
     deadline: _Deadline,
@@ -224,34 +259,11 @@ def _solve_min_cover(
 
     ``upper`` is one more than the size of some feasible cover.
     """
-    full = graph.full_bits
-    denom = max((row.bit_count() for row in coverage), default=1)
-    best = upper
+    bound = [upper]
     witness = 0
-
-    def search(chosen: int, rejected: int, covered: int) -> None:
-        nonlocal best, witness
-        deadline.tick()
-        state = _propagate(coverage, chooser, conflict, full, chosen, rejected, covered)
-        if state is None:
-            return
-        chosen, rejected, covered = state
-        k = chosen.bit_count()
-        uncovered = full & ~covered
-        if k + (uncovered.bit_count() + denom - 1) // denom >= best:
-            return
-        if uncovered == 0:
-            best, witness = k, chosen
-            return
-        # propagation leaves every uncovered vertex an undecided option
-        undecided = full & ~chosen & ~rejected
-        v_bit = undecided & -undecided
-        v = v_bit.bit_length() - 1
-        search(chosen | v_bit, rejected | conflict[v], covered | coverage[v])
-        search(chosen, rejected | v_bit, covered)
-
-    search(0, 0, 0)
-    return best, witness
+    for witness in _cover_leaves(graph.full_bits, deadline, coverage, chooser, conflict, bound):
+        bound[0] = witness.bit_count()
+    return bound[0], witness
 
 
 def independent_domination_number(
@@ -333,10 +345,10 @@ def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]
     closed = tuple(adj[v] | (1 << v) for v in range(graph.n))
     best = -1
     witness = 0
-
-    def search(chosen: int, candidates: int) -> None:
-        nonlocal best, witness
+    stack = [(0, graph.full_bits)]
+    while stack:
         deadline.tick()
+        chosen, candidates = stack.pop()
         # vertices with no candidate neighbours always join
         while True:
             free = 0
@@ -353,16 +365,14 @@ def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]
             candidates &= ~free
         k = chosen.bit_count()
         if k + _clique_cover_bound(adj, candidates) <= best:
-            return
+            continue
         if candidates == 0:
             best, witness = k, chosen
-            return
+            continue
         v_bit = candidates & -candidates
         v = v_bit.bit_length() - 1
-        search(chosen | v_bit, candidates & ~closed[v])
-        search(chosen, candidates & ~v_bit)
-
-    search(0, graph.full_bits)
+        stack.append((chosen, candidates & ~v_bit))
+        stack.append((chosen | v_bit, candidates & ~closed[v]))
     return best, witness
 
 
@@ -424,29 +434,8 @@ def enumerate_maximal_independent_sets(
     """
     _require_cap(graph, limits, "maximal independent set enumeration")
     n = graph.n
-    adj = graph.adj
-    full = graph.full_bits
-    if n == 0:
-        yield VertexSet(0, 0)
-        return
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
+    closed = tuple(graph.adj[v] | (1 << v) for v in range(n))
     deadline = _Deadline(limits.budget_secs)
-
-    def rec(in_set: int, excluded: int, dominated: int) -> Iterator[int]:
-        deadline.tick()
-        state = _propagate(closed, closed, adj, full, in_set, excluded, dominated)
-        if state is None:
-            return
-        in_set, excluded, dominated = state
-        undecided = full & ~in_set & ~excluded
-        if undecided == 0:
-            if dominated == full:
-                yield in_set
-            return
-        v_bit = undecided & -undecided
-        v = v_bit.bit_length() - 1
-        yield from rec(in_set | v_bit, excluded | (adj[v] & ~in_set), dominated | closed[v])
-        yield from rec(in_set, excluded | v_bit, dominated)
-
-    for bits in rec(0, 0, 0):
+    # chosen and uncovered vertices are disjoint, so a bound of n + 1 cuts nothing
+    for bits in _cover_leaves(graph.full_bits, deadline, closed, closed, graph.adj, [n + 1]):
         yield VertexSet(n, bits)

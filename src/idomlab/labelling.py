@@ -324,53 +324,47 @@ def minimize_weight(
             return False
         return True
 
-    def search(v: int, used: int, partial: int) -> None:
-        """DFS over tags of vertex ``v``."""
-        nonlocal best_weight, best_tags
+    # An entry (v, tag, partial, used) gives vertex v its tag.  It reads only
+    # tags of vertices up to v, which still hold those of the path that pushed
+    # it, so the one ``tags`` list is shared and never reset.
+    stack = [(-1, 0, 0, 0)]  # the root: no vertex tagged yet
+    while stack:
         deadline.tick()
-        if v == m:
-            best_weight, best_tags = partial, tuple(tags)
-            return
-
-        choices: list[tuple[int, int]] = [(0, 0)]
-        for c in range(1, min(used + 1, n) + 1):
-            choices.append((c, 1))
-        if allow_layer_label:
-            choices.append((special, n))
-
-        for tag, cost in choices:
-            new_partial = partial + cost
-            if new_partial >= best_weight:
-                continue
-            # monotone legality against already-labelled neighbours
-            ok = True
-            if tag == 0:
-                pass
-            elif tag == special:
-                for w in _bits_of(below[v]):
-                    if tags[w] != 0:
-                        ok = False
-                        break
-            else:
-                for w in _bits_of(below[v]):
-                    tw = tags[w]
-                    if tw != 0 and tw != tag:
-                        ok = False
-                        break
-            if not ok:
-                continue
+        v, tag, partial, used = stack.pop()
+        if partial >= best_weight:
+            continue
+        if v >= 0:
             tags[v] = tag
             # closed neighbourhoods completed at v
+            ok = True
             for u in finished_at[v]:
                 if not neighbourhood_ok(u):
                     ok = False
                     break
-            if ok:
-                next_used = used if tag == 0 or tag == special else max(used, tag)
-                search(v + 1, next_used, new_partial)
-            tags[v] = 0
-
-    search(0, 0, 0)
+            if not ok:
+                continue
+        v += 1
+        if v == m:
+            best_weight, best_tags = partial, tuple(tags)
+            continue
+        # monotone legality against already-labelled neighbours: ``seen`` is
+        # their one nonzero tag, 0 if there is none, -1 if there are several
+        seen = 0
+        for w in _bits_of(below[v]):
+            t = tags[w]
+            if t and t != seen:
+                if seen:
+                    seen = -1
+                    break
+                seen = t
+        # pushed in reverse, so tags come off in the order 0 < classes < [n]
+        if allow_layer_label and seen == 0 and partial + n < best_weight:
+            stack.append((v, special, partial + n, used))
+        if partial + 1 < best_weight:
+            for c in range(min(used + 1, n), 0, -1):
+                if seen == 0 or seen == c:
+                    stack.append((v, c, partial + 1, max(used, c)))
+        stack.append((v, 0, partial, used))
     return Labelling(n, best_tags), best_weight
 
 # ---------------------------------------------------------------------------

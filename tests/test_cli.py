@@ -1,5 +1,6 @@
 import json
 import os
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -79,13 +80,24 @@ class TestCompute:
         code, _, _ = run_cli(capsys, "compute", "--graph", "X:3", "--invariant", "i")
         assert code == 2
 
-    def test_recursion_limit_gives_budget_exit(self, capsys):
-        # the search on a 3000-vertex path runs out of stack before its first clock check
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ("--invariant", "i"),
+            ("--invariant", "gamma"),
+            ("--invariant", "i", "--product", "complete:3"),
+        ],
+        ids=["i", "gamma", "labelling"],
+    )
+    def test_long_path_stops_within_budget(self, capsys, query):
+        # the searches keep their own stack and read the clock at every node
+        started = perf_counter()
         code, out, err = run_cli(
-            capsys, "compute", "--graph", "path:3000", "--invariant", "i",
-            "--cap", "5000", "--budget-secs", "0.5",
+            capsys, "compute", "--graph", "path:3000", *query,
+            "--cap", "5000", "--budget-secs", "0.2",
         )
-        assert code == 3 and err.startswith("aborted:")
+        assert perf_counter() - started < 0.2 + 2.0
+        assert code == 3 and err.startswith("aborted: solver budget exhausted")
         assert json.loads(out.strip())["verdict"] == "unchecked"
 
 
@@ -138,6 +150,13 @@ class TestVerify:
         array.write_text("[" + ",".join(lines) + "]")
         code, _, _ = run_cli(capsys, "verify", str(array), "--cap", "64")
         assert code == 0
+
+    def test_deeply_nested_bundle_is_usage_error(self, capsys, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "verify", str(nested))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nests too deeply" in err
 
 
 class TestReproduce:
@@ -395,6 +414,23 @@ class TestInputEdgePaths:
         code, out, _ = run_cli(capsys, "verify", str(bundle), "--cap", "40")
         assert code == 3
         assert json.loads(out.strip())["verdict"] == "unchecked"
+
+    def test_verify_out_of_budget_gives_budget_exit(self, capsys, tmp_path):
+        # a true claim whose exact re-solve cannot finish in the budget
+        claim = Certificate(
+            claim="invariant_value",
+            subject={"family": "path:900"},
+            value=300,
+            invariant="i",
+            witness=tuple(range(1, 900, 3)),
+        )
+        bundle = tmp_path / "slow.jsonl"
+        bundle.write_text(write_certificate(claim) + "\n")
+        code, out, _ = run_cli(
+            capsys, "verify", str(bundle), "--cap", "1000", "--budget-secs", "0.05"
+        )
+        assert code == 3
+        assert json.loads(out.strip().splitlines()[0])["verdict"] == "unchecked"
 
 
 def test_compute_product_with_non_complete_factor(capsys):

@@ -1,10 +1,12 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from idomlab.graph import build_graph
 from idomlab.families import (
+    build_family,
     make_cocktail,
     make_complete,
     make_complete_bipartite,
@@ -31,6 +33,7 @@ from idomlab.invariants import (
     total_domination_number,
     two_packing_number,
 )
+from idomlab.labelling import minimize_weight
 from idomlab.products import direct_product
 from idomlab.smallgraphs import random_graph
 
@@ -188,9 +191,10 @@ class TestEnumeration:
 
     def test_matches_bruteforce_and_is_deterministic(self):
         rng = random.Random(3141)
+        graphs = [build_graph(0, [])]  # the empty graph has one maximal set, the empty one
         for _ in range(40):
-            n = rng.randint(1, 9)
-            g = random_graph(rng, n, 0.4)
+            graphs.append(random_graph(rng, rng.randint(1, 9), 0.4))
+        for g in graphs:
             once = [s.members() for s in enumerate_maximal_independent_sets(g)]
             again = [s.members() for s in enumerate_maximal_independent_sets(g)]
             assert once == again
@@ -235,6 +239,23 @@ class TestLimits:
             independent_domination_number(
                 g, SolverLimits(vertex_cap=64, budget_secs=0.01)
             )
+
+    def test_searches_do_not_recurse(self):
+        # each search keeps its own stack: 600 vertices deep under a limit of 200
+        matching = build_graph(600, [(2 * k, 2 * k + 1) for k in range(300)])
+        evens = tuple(range(0, 600, 2))
+        limits = SolverLimits(vertex_cap=600)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            result = independent_domination_number(matching, limits)
+            first = next(enumerate_maximal_independent_sets(matching, limits))
+            _, labelled = minimize_weight(build_family("kbip:1,299"), 3, limits)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.value == 300 and result.witness.members() == evens
+        assert first.members() == evens
+        assert labelled == 3
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
