@@ -1,10 +1,10 @@
 """Exact independent domination in direct products of graphs.
 
-A desk-scale toolkit: bitset graphs and products, exact branch-and-bound
-solvers for domination-type invariants, the weak-partition labelling route
-to ``i(G x K_n)``, counterexample families with packaged witnesses, the
-closed-form bounds, and bit-exact interchange formats with re-checkable
-certificates.
+A desk-scale toolkit: bitset graphs and products, exact solvers for
+domination-type invariants (branch-and-bound, and a frontier dynamic program
+on long narrow graphs), the weak-partition labelling route to ``i(G x K_n)``,
+counterexample families with packaged witnesses, the closed-form bounds, and
+bit-exact interchange formats with re-checkable certificates.
 """
 
 from .graph import (

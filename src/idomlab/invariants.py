@@ -1,10 +1,13 @@
 """Exact computation of domination-type invariants with verifiable witnesses.
 
-All solvers are exact branch-and-bound searches on bitset adjacency rows,
-meant for desk-scale graphs (the default cap is 40 vertices).  Every result
-carries a witness set that re-verifies under the matching predicate, and the
-reported witness is always the lexicographically smallest optimum, so
-results do not depend on traversal or worker scheduling.
+All solvers are exact searches on bitset adjacency rows, meant for
+desk-scale graphs (the default cap is 40 vertices).  They are
+branch-and-bound searches, except that ``i``, ``gamma`` and ``gamma_t`` on
+long graphs of frontier width at most 2 (paths, cycles) take a dynamic
+program over the vertex order, whose cost is linear in the order.  Every
+result carries a witness set that re-verifies under the matching predicate,
+and the reported witness is always the lexicographically smallest optimum,
+so results do not depend on traversal or worker scheduling.
 """
 
 from __future__ import annotations
@@ -247,6 +250,122 @@ def _cover_leaves(
         stack.append((chosen | v_bit, rejected | conflict[v], covered | coverage[v]))
 
 
+# ---------------------------------------------------------------------------
+# The frontier dynamic program: the same covers, one vertex at a time
+# ---------------------------------------------------------------------------
+#
+# Vertices are decided in index order.  The frontier is the set of decided
+# vertices that still have an undecided neighbour; a vertex leaves it once its
+# last neighbour is decided, and must be covered by then.  A state is the
+# (chosen, covered) pair of the frontier, kept as bits over frontier slots, so
+# the work per vertex follows the frontier width, not the order.  Each state
+# keeps the best score of the prefixes reaching it.  Prefixes reaching the
+# same state have the same completions, so keeping one per state is exact.
+#
+# The score is ``size << n`` plus bit ``n - 1 - u`` for every decided vertex
+# ``u`` left out, so the least score has the fewest members and, among those,
+# the least sorted members: of two sets of one size, the lexicographically
+# smaller holds the smallest vertex of their symmetric difference, which the
+# other leaves out at a higher bit.  A state's best prefix therefore extends
+# to the best cover through it, and the final score is the least optimum the
+# branch-and-bound reaches first.
+
+# Route to the DP above this order and at most this natural-order width.
+# Below the order the branch-and-bound is as fast; above the width the DP's
+# state count grows past it.
+_DP_MIN_ORDER = 40
+_DP_MAX_WIDTH = 2
+
+
+def _last_neighbours(rows: tuple[int, ...]) -> list[int]:
+    """For each vertex, the highest-index vertex its row reaches, or itself."""
+    return [max(u, row.bit_length() - 1) for u, row in enumerate(rows)]
+
+
+def _frontier_width(last: list[int]) -> int:
+    """Most decided vertices that still have an undecided neighbour."""
+    leaving = [0] * len(last)
+    for end in last:
+        leaving[end] += 1
+    width = size = 0
+    for gone in leaving:
+        size += 1 - gone
+        width = max(width, size)
+    return width
+
+
+def _frontier_min_cover(
+    deadline: _Deadline,
+    coverage: tuple[int, ...],
+    chooser: tuple[int, ...],
+    conflict: tuple[int, ...],
+) -> tuple[int, int]:
+    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+
+    Takes the cover kernel's rows, which must be symmetric and admit a cover.
+    """
+    n = len(coverage)
+    last = _last_neighbours(tuple(a | b | c for a, b, c in zip(coverage, chooser, conflict)))
+    shift = _frontier_width(last) + 1  # a vertex takes its slot before any leaves
+    slot = [0] * n
+    used = 0
+    frontier: list[int] = []
+    low = (1 << shift) - 1
+    unit = 1 << n
+    states = {0: 0}  # chosen | covered << shift -> best score
+    for v in range(n):
+        deadline.tick()
+        own = ~used & (used + 1)
+        used |= own
+        slot[v] = own.bit_length() - 1
+        cover = clash = 0
+        by = own if (chooser[v] >> v) & 1 else 0
+        for u in frontier:
+            bit = 1 << slot[u]
+            if (coverage[v] >> u) & 1:
+                cover |= bit
+            if (chooser[v] >> u) & 1:
+                by |= bit
+            if (conflict[v] >> u) & 1:
+                clash |= bit
+        frontier.append(v)
+        done = 0
+        for u in frontier:
+            if last[u] == v:
+                done |= 1 << slot[u]
+        frontier = [u for u in frontier if last[u] != v]
+        used &= ~done
+        need = done << shift
+        keep = ~(done | need)
+        pick = own | cover << shift
+        own_covered = own << shift
+        out_mark = 1 << (n - 1 - v)
+        after: dict[int, int] = {}
+        for state, score in states.items():
+            chosen = state & low
+            nxt = state | own_covered if by & chosen else state
+            if nxt & need == need:
+                nxt &= keep
+                old = after.get(nxt)
+                if old is None or score | out_mark < old:
+                    after[nxt] = score | out_mark
+            if clash & chosen == 0:
+                nxt = state | pick | (own_covered if by & (chosen | own) else 0)
+                if nxt & need == need:
+                    nxt &= keep
+                    old = after.get(nxt)
+                    if old is None or score + unit < old:
+                        after[nxt] = score + unit
+        states = after
+    score = states[0]
+    left_out = score & ((1 << n) - 1)
+    members = 0
+    for u in range(n):
+        if not (left_out >> (n - 1 - u)) & 1:
+            members |= 1 << u
+    return score >> n, members
+
+
 def _solve_min_cover(
     graph: Graph,
     deadline: _Deadline,
@@ -254,16 +373,20 @@ def _solve_min_cover(
     chooser: tuple[int, ...],
     conflict: tuple[int, ...],
     upper: int,
-) -> tuple[int, int]:
-    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+) -> tuple[int, int, str]:
+    """Return ``(size, bits, method)`` of the lexicographically least minimum cover.
 
-    ``upper`` is one more than the size of some feasible cover.
+    ``upper`` is one more than the size of some feasible cover.  Long graphs
+    of frontier width at most 2 in natural order (paths, cycles) take the
+    frontier DP; every other graph takes the branch-and-bound.
     """
+    if graph.n > _DP_MIN_ORDER and _frontier_width(_last_neighbours(graph.adj)) <= _DP_MAX_WIDTH:
+        return (*_frontier_min_cover(deadline, coverage, chooser, conflict), "frontier-dp")
     bound = [upper]
     witness = 0
     for witness in _cover_leaves(graph.full_bits, deadline, coverage, chooser, conflict, bound):
         bound[0] = witness.bit_count()
-    return bound[0], witness
+    return bound[0], witness, "branch-and-bound"
 
 
 def independent_domination_number(
@@ -275,10 +398,8 @@ def independent_domination_number(
     deadline = _Deadline(limits.budget_secs)
     closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
     upper = _greedy_maximal_independent(graph.adj, graph.n).bit_count() + 1
-    value, bits = _solve_min_cover(graph, deadline, closed, closed, graph.adj, upper)
-    return InvariantResult(
-        "i", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
-    )
+    value, bits, method = _solve_min_cover(graph, deadline, closed, closed, graph.adj, upper)
+    return InvariantResult("i", value, VertexSet(graph.n, bits), method, perf_counter() - started)
 
 
 def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
@@ -287,9 +408,11 @@ def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> In
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
     closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
-    value, bits = _solve_min_cover(graph, deadline, closed, closed, (0,) * graph.n, graph.n + 1)
+    value, bits, method = _solve_min_cover(
+        graph, deadline, closed, closed, (0,) * graph.n, graph.n + 1
+    )
     return InvariantResult(
-        "gamma", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
+        "gamma", value, VertexSet(graph.n, bits), method, perf_counter() - started
     )
 
 
@@ -304,11 +427,11 @@ def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS)
         raise UndefinedInvariant("total domination is undefined with isolated vertices")
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
-    value, bits = _solve_min_cover(
+    value, bits, method = _solve_min_cover(
         graph, deadline, graph.adj, graph.adj, (0,) * graph.n, graph.n + 1
     )
     return InvariantResult(
-        "gamma_t", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
+        "gamma_t", value, VertexSet(graph.n, bits), method, perf_counter() - started
     )
 
 
@@ -318,20 +441,37 @@ def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS)
 
 
 def _clique_cover_bound(adj: tuple[int, ...], candidates: int) -> int:
-    """Number of cliques in a greedy cover of ``candidates``; bounds alpha."""
+    """Number of cliques in a greedy cover of ``candidates``; bounds alpha.
+
+    Each vertex joins the lowest-index clique it is adjacent to throughout,
+    or opens a new one.  Only a clique holding a placed neighbour can
+    qualify, and cliques are indexed in order of their least members, each
+    of which is a placed neighbour when its clique qualifies; so the first
+    qualifying clique met among the placed neighbours, in index order, is
+    the lowest-index one.
+    """
     cliques: list[int] = []
+    home = [0] * len(adj)  # clique index of each placed vertex
+    placed = 0
     scan = candidates
     while scan:
         low = scan & -scan
         v = low.bit_length() - 1
         scan ^= low
         row = adj[v]
-        for idx, members in enumerate(cliques):
-            if members & ~row == 0:
-                cliques[idx] = members | low
+        near = row & placed
+        while near:
+            bit = near & -near
+            near ^= bit
+            idx = home[bit.bit_length() - 1]
+            if cliques[idx] & ~row == 0:
+                cliques[idx] |= low
                 break
         else:
+            idx = len(cliques)
             cliques.append(low)
+        home[v] = idx
+        placed |= low
     return len(cliques)
 
 

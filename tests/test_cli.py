@@ -1,5 +1,6 @@
 import json
 import os
+from random import Random
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -7,11 +8,18 @@ import pytest
 
 from idomlab import cli
 from idomlab.cli import main
-from idomlab.formats import read_certificate, write_certificate, Certificate
+from idomlab.families import build_family
+from idomlab.formats import graph6_encode, read_certificate, write_certificate, Certificate
+from idomlab.graph import VertexSet
+from idomlab.invariants import PREDICATES
+from idomlab.smallgraphs import random_connected_graph
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 BUNDLE = os.path.join(ROOT, "data", "thm12_n11_witnesses.jsonl")
 PAPER_FIXTURES = os.path.join(ROOT, "bench", "fixtures", "paper")
+# G(60, 0.1) has frontier width 39, so i and gamma take the branch-and-bound;
+# i takes about a second and gamma far longer
+WIDE_GRAPH6 = graph6_encode(random_connected_graph(Random(1), 60, 0.1))
 
 
 def run_cli(capsys, *argv):
@@ -81,24 +89,45 @@ class TestCompute:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "query",
+        "subject, query",
         [
-            ("--invariant", "i"),
-            ("--invariant", "gamma"),
-            ("--invariant", "i", "--product", "complete:3"),
+            ("wide", ("--invariant", "i")),
+            ("wide", ("--invariant", "gamma")),
+            ("path", ("--invariant", "i", "--product", "complete:3")),
+            ("path", ("--invariant", "alpha")),
+            ("path", ("--invariant", "rho")),
         ],
-        ids=["i", "gamma", "labelling"],
+        ids=["i", "gamma", "labelling", "alpha", "rho"],
     )
-    def test_long_path_stops_within_budget(self, capsys, query):
-        # the searches keep their own stack and read the clock at every node
+    def test_long_path_stops_within_budget(self, capsys, tmp_path, subject, query):
+        # the searches keep their own stack and read the clock at every node;
+        # i and gamma solve paths by the frontier DP, so they run on a wide graph
+        if subject == "wide":
+            path = tmp_path / "wide.g6"
+            path.write_text(WIDE_GRAPH6 + "\n")
+            source = ("--graph-file", str(path), "--format", "graph6")
+        else:
+            source = ("--graph", "path:3000")
         started = perf_counter()
         code, out, err = run_cli(
-            capsys, "compute", "--graph", "path:3000", *query,
-            "--cap", "5000", "--budget-secs", "0.2",
+            capsys, "compute", *source, *query, "--cap", "5000", "--budget-secs", "0.2",
         )
         assert perf_counter() - started < 0.2 + 2.0
         assert code == 3 and err.startswith("aborted: solver budget exhausted")
         assert json.loads(out.strip())["verdict"] == "unchecked"
+
+    @pytest.mark.parametrize("graph", ["path:3000", "cycle:900"])
+    @pytest.mark.parametrize("name", ["i", "gamma"])
+    def test_long_narrow_graph_is_solved(self, capsys, graph, name):
+        code, out, _ = run_cli(
+            capsys, "compute", "--graph", graph, "--invariant", name,
+            "--cap", "5000", "--budget-secs", "1",
+        )
+        payload = json.loads(out.strip())
+        g = build_family(graph)
+        assert code == 0 and payload["value"] == -(-g.n // 3)
+        assert PREDICATES[name](g, VertexSet.from_vertices(g.n, payload["witness"]))
+        assert len(payload["witness"]) == payload["value"]
 
 
 class TestVerify:
@@ -419,10 +448,10 @@ class TestInputEdgePaths:
         # a true claim whose exact re-solve cannot finish in the budget
         claim = Certificate(
             claim="invariant_value",
-            subject={"family": "path:900"},
-            value=300,
+            subject={"graph6": WIDE_GRAPH6},
+            value=11,
             invariant="i",
-            witness=tuple(range(1, 900, 3)),
+            witness=(0, 10, 11, 19, 23, 26, 35, 48, 55, 56, 57),
         )
         bundle = tmp_path / "slow.jsonl"
         bundle.write_text(write_certificate(claim) + "\n")

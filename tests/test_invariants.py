@@ -1,10 +1,11 @@
 import random
 import sys
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
-from idomlab.graph import build_graph
+from idomlab.graph import Graph, build_graph
 from idomlab.families import (
     build_family,
     make_cocktail,
@@ -32,10 +33,13 @@ from idomlab.invariants import (
     is_total_dominating,
     total_domination_number,
     two_packing_number,
+    _Deadline,
+    _clique_cover_bound,
+    _frontier_min_cover,
 )
 from idomlab.labelling import minimize_weight
 from idomlab.products import direct_product
-from idomlab.smallgraphs import random_graph
+from idomlab.smallgraphs import all_graphs, random_connected_graph, random_graph
 
 from oracles import (
     brute_alpha,
@@ -130,6 +134,27 @@ class TestExactSolvers:
                 assert PREDICATES[name](g, result.witness)
                 assert len(result.witness) == result.value
 
+    def test_clique_cover_bound_is_the_plain_greedy_cover(self):
+        # each vertex joins the first clique it is adjacent to throughout
+        def plain_greedy(adj, candidates):
+            cliques = []
+            for v in range(len(adj)):
+                if (candidates >> v) & 1:
+                    for idx, members in enumerate(cliques):
+                        if members & ~adj[v] == 0:
+                            cliques[idx] |= 1 << v
+                            break
+                    else:
+                        cliques.append(1 << v)
+            return len(cliques)
+
+        rng = random.Random(321)
+        for _ in range(300):
+            n = rng.randint(0, 24)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+            candidates = rng.getrandbits(n) if n else 0
+            assert _clique_cover_bound(g.adj, candidates) == plain_greedy(g.adj, candidates)
+
     def test_invariant_chain(self):
         rng = random.Random(5150)
         for _ in range(40):
@@ -174,6 +199,85 @@ class TestCanonicalWitnesses:
         first = independent_domination_number(g)
         second = independent_domination_number(g)
         assert first.witness == second.witness and first.value == second.value
+
+
+COVER_INVARIANTS = ("i", "gamma", "gamma_t")
+
+
+def frontier_dp(g, name):
+    """The frontier DP on the cover kernel's rows, as the solvers build them."""
+    closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
+    none = (0,) * g.n
+    rows = {
+        "i": (closed, closed, g.adj),
+        "gamma": (closed, closed, none),
+        "gamma_t": (g.adj, g.adj, none),
+    }[name]
+    return _frontier_min_cover(_Deadline(None), *rows)
+
+
+def defined(g, name):
+    return name != "gamma_t" or (g.n > 0 and all(g.adj))
+
+
+@lru_cache(maxsize=None)
+def graphs_up_to_order_seven():
+    """Every graph of order at most 7 up to isomorphism, order 7 with repeats.
+
+    A graph of order 7 is a graph of order 6 plus a vertex of minimum degree,
+    so extending the catalogue's order-6 graphs reaches every class; the
+    catalogue's own order-7 enumeration takes tens of seconds.
+    """
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    for g in [g for g in graphs if g.n == 6]:
+        for nb in range(1 << 6):
+            adj = tuple(row | ((nb >> u) & 1) << 6 for u, row in enumerate(g.adj)) + (nb,)
+            if nb.bit_count() <= min(row.bit_count() for row in adj):
+                graphs.append(Graph(7, adj))
+    return tuple(graphs)
+
+
+class TestFrontierDP:
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_matches_branch_and_bound_up_to_order_seven(self, name):
+        for g in graphs_up_to_order_seven():
+            if defined(g, name):
+                result = invariant(g, name)
+                assert result.method == "branch-and-bound"
+                assert frontier_dp(g, name) == (result.value, result.witness.bits)
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_matches_branch_and_bound_on_paths_and_cycles(self, name):
+        for m in range(3, 31):
+            for g in (make_path(m), make_cycle(m)):
+                result = invariant(g, name)
+                assert result.method == "branch-and-bound"
+                assert frontier_dp(g, name) == (result.value, result.witness.bits)
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_matches_brute_force_least_optimum(self, name):
+        rng = random.Random(606)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.7))
+            expected = brute_least_optimum(g, name)
+            if expected is not None:
+                assert frontier_dp(g, name) == (len(expected), vertex_set(g, expected).bits)
+
+    def test_route_follows_order_and_frontier_width(self):
+        limits = SolverLimits(vertex_cap=100)
+        narrow = make_path(100)
+        for name in COVER_INVARIANTS:
+            result = invariant(narrow, name, limits)
+            assert result.method == "frontier-dp"
+            assert PREDICATES[name](narrow, result.witness)
+        wide = [
+            make_path(40),  # narrow, but not above the order floor
+            direct_product(make_cycle(30), make_complete(2)).graph,  # width 4
+            random_connected_graph(random.Random(1), 26, 0.15),  # a dense-factors draw
+        ]
+        for g in wide:
+            for name in ("i", "gamma"):  # the route depends on the graph alone
+                assert invariant(g, name, limits).method == "branch-and-bound"
 
 
 class TestEnumeration:
