@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet, build_graph
-from .products import ProductGraph, direct_product
+from .products import MAX_PRODUCT_VERTICES, ProductGraph, direct_product
 
 # index sets (1-based) attached to the counterexample constructions
 GN_BLOCK_SETS: tuple[tuple[int, ...], ...] = (
@@ -253,6 +253,45 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(kind, params)
 
 
+def family_size(spec: FamilySpec) -> tuple[int, int]:
+    """Vertex and edge counts of a family spec, worked out without building it.
+
+    Negative parameters count as 0, so the generators themselves report
+    a parameter below their floor.
+    """
+    params = tuple(max(p, 0) for p in spec.params)
+    kind = spec.kind
+    if kind == "path":
+        (m,) = params
+        return m, max(m - 1, 0)
+    if kind == "cycle":
+        (m,) = params
+        return m, m
+    if kind == "complete":
+        (n,) = params
+        return n, n * (n - 1) // 2
+    if kind == "kbip":
+        a, b = params
+        return a + b, a * b
+    if kind == "cocktail":
+        (r,) = params
+        return 2 * r, 2 * r * (r - 1)
+    if kind == "X":
+        (m,) = params
+        return 4 + 4 * m, 2 + 8 * m
+    if kind == "Gn":
+        (n,) = params
+        # six pair edges, each block joined to both ends of its pairs, and
+        # the four cross edges of each clique pair
+        blocks = 2 * sum(len(s) for s in GN_BLOCK_SETS)
+        return 12 + 5 * n, 6 + blocks * n + 4 * len(GN_CLIQUE_PAIRS)
+    if kind == "Hn":
+        (n,) = params
+        blocks = sum(len(s) for s in HN_BLOCK_SETS)
+        return 6 + 7 * n, len(HN_BASE_EDGES) + blocks * n
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
 def build_family(spec: FamilySpec | str) -> Graph:
     """Materialize a family spec as a graph (witness dropped)."""
     graph, _ = build_family_with_witness(spec)
@@ -263,6 +302,13 @@ def build_family_with_witness(spec: FamilySpec | str) -> tuple[Graph, VertexSet 
     """Materialize a family spec, returning its packaged witness when it has one."""
     if isinstance(spec, str):
         spec = parse_family(spec)
+    # Refuse before allocating: the generators materialise every edge.
+    for count, what in zip(family_size(spec), ("vertices", "edges")):
+        if count > MAX_PRODUCT_VERTICES:
+            raise ValueError(
+                f"family {spec} would have {count} {what}, "
+                f"above the limit of {MAX_PRODUCT_VERTICES}"
+            )
     kind, params = spec.kind, spec.params
     if kind == "path":
         return make_path(*params), None

@@ -95,6 +95,15 @@ class Graph:
     ``labels`` optionally carries display names (family generators attach
     them so witnesses can be reported in the source notation); labels never
     take part in equality.
+
+    The public constructor checks every row: range, loops and symmetry, the
+    last edge by edge.  It is the trust boundary for rows from outside the
+    library, such as the rows the CLI sends to its worker processes.  The
+    library's own builders (:func:`build_graph`, :func:`square_graph`,
+    :func:`induced_subgraph` and ``products.direct_product``) make rows that
+    are valid by construction, so they use :meth:`_trusted` and skip the
+    check; ``build_graph`` still rejects bad endpoints, loops and label
+    counts, and every parser reaches a ``Graph`` through it.
     """
 
     n: int
@@ -116,6 +125,21 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count differs from vertex count")
+
+    @classmethod
+    def _trusted(
+        cls, n: int, adj: tuple[int, ...], labels: Optional[tuple[str, ...]] = None
+    ) -> "Graph":
+        """A graph from rows the caller built symmetric, loop-free and in range.
+
+        Skips ``__post_init__``, whose symmetry check is linear in the edge
+        count; callers must pass ``n`` labels or none.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", adj)
+        object.__setattr__(graph, "labels", labels)
+        return graph
 
     # -- basic queries -----------------------------------------------------
 
@@ -156,8 +180,9 @@ def build_graph(
 ) -> Graph:
     """Build a simple graph from an edge list.
 
-    Duplicate edges collapse silently; loops and out-of-range endpoints are
-    rejected with a diagnostic.
+    Duplicate edges collapse silently; loops, out-of-range endpoints and a
+    label count other than ``n`` are rejected with a diagnostic.  These
+    checks make the rows valid, so the graph skips ``Graph``'s own check.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -170,7 +195,9 @@ def build_graph(
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     label_tuple = tuple(labels) if labels is not None else None
-    return Graph(n, tuple(rows), label_tuple)
+    if label_tuple is not None and len(label_tuple) != n:
+        raise ValueError("label count differs from vertex count")
+    return Graph._trusted(n, tuple(rows), label_tuple)
 
 
 def closed_neighborhood(graph: Graph, v: int) -> VertexSet:
@@ -296,7 +323,7 @@ def square_graph(graph: Graph) -> Graph:
         for u in _bits_of(graph.adj[v]):
             row |= graph.adj[u]
         rows.append(row & ~(1 << v))
-    return Graph(graph.n, tuple(rows))
+    return Graph._trusted(graph.n, tuple(rows))
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
@@ -314,4 +341,4 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     labels = None
     if graph.labels is not None:
         labels = tuple(graph.labels[v] for v in ordered)
-    return Graph(len(ordered), tuple(rows), labels)
+    return Graph._trusted(len(ordered), tuple(rows), labels)

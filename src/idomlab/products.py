@@ -77,7 +77,8 @@ def direct_product(left: Graph, right: Graph, max_vertices: int = MAX_PRODUCT_VE
             for g in range(left.n)
             for h in range(nh)
         )
-    return ProductGraph(Graph(total, tuple(rows), labels), left, right)
+    # Symmetric and loop-free because both factors are: no re-check.
+    return ProductGraph(Graph._trusted(total, tuple(rows), labels), left, right)
 
 
 def layer(product: ProductGraph, side: str, index: int) -> VertexSet:

@@ -180,6 +180,20 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", str(array), "--cap", "64")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "subject",
+        [{"graph6": "D!!"}, {"graph6": "D?{?"}, {"edge_list": "2 1\n1 1"}, {"edge_list": "2 1\n0 2"}],
+        ids=["graph6-byte", "graph6-length", "edge-list-loop", "edge-list-range"],
+    )
+    def test_malformed_parsed_subject_is_usage_error(self, capsys, tmp_path, subject):
+        cert = Certificate(
+            claim="upper_bound_witness", invariant="i", subject=subject, value=1, witness=(0,)
+        )
+        bundle = tmp_path / "malformed.jsonl"
+        bundle.write_text(write_certificate(cert) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(bundle))
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_deeply_nested_bundle_is_usage_error(self, capsys, tmp_path):
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 100000 + "]" * 100000)
@@ -397,6 +411,32 @@ class TestSearchEdgePaths:
 
 
 class TestInputEdgePaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--graph", "complete:100000"),
+            ("compute", "--graph", "path:3", "--product", "kbip:60000,60000"),
+            ("verify", "{family}"),
+            ("verify", "{product}"),
+        ],
+        ids=["compute", "compute-product", "verify-family", "verify-product"],
+    )
+    def test_oversized_family_is_refused_at_once(self, capsys, tmp_path, argv):
+        # refused from the spec's parameters, before any edge is built
+        hostile = {"family": "complete:100000"}
+        paths = {}
+        for name, subject in (("family", hostile), ("product", {"product": [hostile, hostile]})):
+            cert = Certificate(
+                claim="upper_bound_witness", invariant="i", subject=subject, value=1, witness=(0,)
+            )
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(write_certificate(cert) + "\n")
+        started = perf_counter()
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: family") and "above the limit" in err
+
     def test_multi_graph_file_rejected_for_compute(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"
         corpus.write_text("A_\nBw\n")

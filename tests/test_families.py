@@ -8,6 +8,7 @@ from idomlab.families import (
     build_family_with_witness,
     counterexample_product,
     extreme_product,
+    family_size,
     make_cocktail,
     make_complete,
     make_complete_bipartite,
@@ -26,6 +27,7 @@ from idomlab.invariants import (
     is_total_dominating,
 )
 from idomlab.graph import VertexSet
+from idomlab.products import MAX_PRODUCT_VERTICES
 
 
 class TestPlainFamilies:
@@ -195,3 +197,33 @@ class TestFamilySpecs:
         for bad in ("nosuch:3", "cycle", "cycle:x", "kbip:3"):
             with pytest.raises(ValueError):
                 parse_family(bad)
+
+    def test_size_matches_the_built_graph(self):
+        specs = [FamilySpec(kind, (k,)) for kind in ("path", "cycle", "complete", "cocktail",
+                                                      "X", "Gn", "Hn") for k in range(1, 8)]
+        specs += [FamilySpec("kbip", (a, b)) for a in range(1, 5) for b in range(1, 5)]
+        built = 0
+        for spec in specs:
+            try:
+                graph = build_family(spec)
+            except ValueError:
+                continue  # a parameter below the family's floor
+            assert family_size(spec) == (graph.n, graph.edge_count()), spec
+            built += 1
+        assert built == len(specs) - 5  # cycle:1,2, cocktail:1, X:1,2
+
+    @pytest.mark.parametrize(
+        "spec, what",
+        [("kbip:1,100000", "vertices"), ("complete:448", "edges"), ("complete:100000", "edges")],
+    )
+    def test_oversized_spec_refused_before_building(self, spec, what):
+        with pytest.raises(ValueError, match=f"{what}, above the limit of {MAX_PRODUCT_VERTICES}"):
+            build_family(spec)
+
+    def test_specs_within_the_limit_build(self):
+        assert build_family("complete:447").edge_count() == 447 * 446 // 2
+        assert build_family("kbip:1,299").n == 300
+
+    def test_below_floor_parameters_keep_their_message(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            build_family("complete:-100000")

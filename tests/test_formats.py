@@ -246,6 +246,26 @@ class TestCertificates:
         )
         assert verify_certificate(tampered, WIDE) == "refuted"
 
+    @pytest.mark.parametrize("kind", ["graph6", "edge_list"])
+    @pytest.mark.parametrize(
+        "witness", [(0, 1), (0,), (9,)], ids=["adjacent", "not-dominating", "out-of-range"]
+    )
+    def test_witness_failing_on_parsed_subject_refuted(self, kind, witness):
+        path = make_path(4)
+        text = graph6_encode(path) if kind == "graph6" else format_edge_list(path)
+        cert = Certificate(
+            claim="upper_bound_witness",
+            invariant="i",
+            subject={kind: text},
+            value=len(witness),
+            witness=witness,
+        )
+        assert verify_certificate(cert, WIDE) == "refuted"
+        good = Certificate(
+            claim="upper_bound_witness", invariant="i", subject={kind: text}, value=2, witness=(0, 3)
+        )
+        assert verify_certificate(good, WIDE) == "verified"
+
     def test_wrong_value_refuted_when_solvable(self):
         cert = Certificate(
             claim="invariant_value",

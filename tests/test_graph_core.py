@@ -58,6 +58,25 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="loop"):
             build_graph(3, [(1, 1)])
 
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="label count"):
+            build_graph(3, [(0, 1)], ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "n, adj, labels, message",
+        [
+            (2, (0b10, 0b00), None, "asymmetric"),
+            (2, (0b01, 0b00), None, "loop"),
+            (2, (0b100, 0b000), None, "outside"),
+            (2, (-1, 0), None, "outside"),
+            (3, (0b10, 0b01), None, "row count"),
+            (2, (0b10, 0b01), ("a",), "label count"),
+        ],
+    )
+    def test_public_constructor_checks_every_row(self, n, adj, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adj, labels)
+
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_adjacency_symmetric_and_loopless(self, g):
