@@ -97,13 +97,13 @@ class Graph:
     take part in equality.
 
     The public constructor checks every row: range, loops and symmetry, the
-    last edge by edge.  It is the trust boundary for rows from outside the
-    library, such as the rows the CLI sends to its worker processes.  The
-    library's own builders (:func:`build_graph`, :func:`square_graph`,
-    :func:`induced_subgraph` and ``products.direct_product``) make rows that
-    are valid by construction, so they use :meth:`_trusted` and skip the
-    check; ``build_graph`` still rejects bad endpoints, loops and label
-    counts, and every parser reaches a ``Graph`` through it.
+    last edge by edge.  It is the trust boundary: every parsed input (family
+    specs, graph6, edge lists, certificate subjects) reaches a ``Graph``
+    through :func:`build_graph`, which uses it, and so do the rows the CLI
+    sends to its worker processes.  Graphs derived from checked graphs
+    (``products.direct_product``, :func:`square_graph` and
+    :func:`induced_subgraph`) are valid by construction, so they use
+    :meth:`_trusted` and are not checked again.
     """
 
     n: int
@@ -180,9 +180,8 @@ def build_graph(
 ) -> Graph:
     """Build a simple graph from an edge list.
 
-    Duplicate edges collapse silently; loops, out-of-range endpoints and a
-    label count other than ``n`` are rejected with a diagnostic.  These
-    checks make the rows valid, so the graph skips ``Graph``'s own check.
+    Duplicate edges collapse silently; loops and out-of-range endpoints are
+    rejected with a diagnostic.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -195,9 +194,7 @@ def build_graph(
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     label_tuple = tuple(labels) if labels is not None else None
-    if label_tuple is not None and len(label_tuple) != n:
-        raise ValueError("label count differs from vertex count")
-    return Graph._trusted(n, tuple(rows), label_tuple)
+    return Graph(n, tuple(rows), label_tuple)
 
 
 def closed_neighborhood(graph: Graph, v: int) -> VertexSet:

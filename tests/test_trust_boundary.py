@@ -1,10 +1,10 @@
-"""The library's own builders skip ``Graph``'s check; these tests run it on their output.
+"""Graphs derived from checked graphs skip ``Graph``'s check; these tests run it on them.
 
-``build_graph``, ``direct_product``, ``square_graph`` and ``induced_subgraph``
-construct rows that are symmetric, loop-free and in range by construction,
-so the runtime does not check them again.  Each test rebuilds their output
-through the public constructor, which checks every row, and requires the
-same graph back.
+``direct_product``, ``square_graph`` and ``induced_subgraph`` construct rows
+that are symmetric, loop-free and in range by construction, so the runtime
+does not check them again; ``build_graph``, which every parser uses, does.
+Each test rebuilds a builder's output through the public constructor, which
+checks every row, and requires the same graph back.
 """
 
 from random import Random
