@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet, build_graph
-from .products import MAX_PRODUCT_VERTICES, ProductGraph, direct_product
+from .products import MAX_PRODUCT_VERTICES, ProductGraph, check_row_bytes, direct_product
 
 # index sets (1-based) attached to the counterexample constructions
 GN_BLOCK_SETS: tuple[tuple[int, ...], ...] = (
@@ -302,13 +302,16 @@ def build_family_with_witness(spec: FamilySpec | str) -> tuple[Graph, VertexSet 
     """Materialize a family spec, returning its packaged witness when it has one."""
     if isinstance(spec, str):
         spec = parse_family(spec)
-    # Refuse before allocating: the generators materialise every edge.
-    for count, what in zip(family_size(spec), ("vertices", "edges")):
+    # Refuse before allocating: the generators materialise every edge, and
+    # every row costs about n / 8 bytes.
+    size = family_size(spec)
+    for count, what in zip(size, ("vertices", "edges")):
         if count > MAX_PRODUCT_VERTICES:
             raise ValueError(
                 f"family {spec} would have {count} {what}, "
                 f"above the limit of {MAX_PRODUCT_VERTICES}"
             )
+    check_row_bytes(size[0], f"family {spec}")
     kind, params = spec.kind, spec.params
     if kind == "path":
         return make_path(*params), None

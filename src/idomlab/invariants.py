@@ -152,8 +152,8 @@ PREDICATES = {
 # closed, none); for gamma_t (adj, adj, none).
 #
 # One pass yields both the optimum and its lexicographically least witness,
-# and the maximum independent set search and labelling.minimize_weight rely
-# on the same four conditions:
+# and the maximum independent set search and the labelling branch-and-bound
+# (labelling._search_min_weight) rely on the same four conditions:
 #   1. the search branches on the lowest-index undecided vertex;
 #   2. it pushes "out" before "in", so "in" comes off the stack first and
 #      optima of equal size are reached in lexicographic order of their

@@ -28,6 +28,8 @@ from .invariants import (
     DEFAULT_LIMITS,
     SolverLimits,
     _Deadline,
+    _frontier_width,
+    _last_neighbours,
     _require_cap,
 )
 from .products import ProductGraph
@@ -245,55 +247,150 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # Exact weight minimization
 # ---------------------------------------------------------------------------
 #
-# Branch-and-bound over per-vertex tags in index order.  Classes are
-# interchangeable, so the search only ever opens class ``c + 1`` after class
-# ``c`` has been used (first-occurrence canonical form); this collapses the
-# n! label symmetry.  Conditions 1 and 3 are monotone and checked as edges
-# complete; conditions 2 and 4 are only decidable once a vertex's closed
-# neighbourhood is fully labelled, so they are checked at exactly that point.
-# Tags are tried in the order 0 < classes < [n], and one pass finds the least
-# optimum under the conditions stated for the cover kernel in invariants.py.
+# Two routes tag the vertices in index order and return the same optimum: the
+# least weight and, among labellings of that weight, the lexicographically
+# least tags under 0 < classes < [n].  Classes are interchangeable, so both
+# only ever open class ``c + 1`` after class ``c`` has been used
+# (first-occurrence canonical form); this collapses the n! label symmetry.
+# Conditions 1 and 3 are monotone and checked as each edge completes;
+# conditions 2 and 4 are only decidable once a vertex's closed neighbourhood
+# is fully labelled, so they are checked at exactly that point.
+#
+# The branch-and-bound (``_search_min_weight``) tries tags in that order and
+# cuts a branch once its weight reaches the best found, so one pass finds the
+# least optimum under the conditions stated for the cover kernel in
+# invariants.py.  Its time grows exponentially with the order.
+#
+# The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
+# vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
+# 1997) on a linear order.  Its frontier is that of the cover kernel's DP in
+# invariants.py: the tagged vertices that still have an untagged neighbour.
+# A state is ``used``, the number of classes opened, plus each frontier
+# vertex's tag and pending need: a class vertex waits for a same-class
+# neighbour (condition 2); a 0 vertex has seen no class yet, or one class
+# ``c`` (condition 4); an [n] vertex needs nothing.  A vertex must need
+# nothing when it leaves the frontier.  Each state keeps the least score of
+# the prefixes reaching it: the weight, then the prefix's tags as digits.
+# Prefixes reaching one state have the same completions, so the least final
+# score is the branch-and-bound's optimum, with no backward pass.  The number
+# of states follows ``n`` and the frontier width, not the order, so the DP's
+# time is linear in the order.
+#
+# ``minimize_weight`` takes the DP on graphs of at least ``_DP_MIN_ORDER``
+# vertices whose natural-order frontier width is at most ``_DP_MAX_WIDTH``
+# (paths, cycles, stars), and the branch-and-bound on every other graph.
+# Below that order the branch-and-bound is as fast (measured on paths and
+# cycles with n = 2, 3, 4); on wider graphs the DP's states multiply.
+
+_DP_MIN_ORDER = 13
+_DP_MAX_WIDTH = 2
+
+_MET = -1  # the need of a vertex whose condition 2 or 4 holds, or of a free slot
 
 
-def minimize_weight(
-    graph: Graph,
-    n: int,
-    limits: SolverLimits = DEFAULT_LIMITS,
-    allow_layer_label: bool = True,
-) -> tuple[Labelling, int]:
-    """Exact minimum weight over legal labellings, with an optimum labelling.
+def _frontier_min_weight(
+    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool
+) -> tuple[tuple[int, ...], int]:
+    """Return ``(tags, weight)`` of the least canonical optimum, by frontier DP.
 
-    The returned value equals ``i(G x K_n)``.  The labelling is the
-    lexicographically least optimum in canonical (first-occurrence) class
-    numbering.  ``allow_layer_label=False`` restricts the search to
-    labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
-    on a graph with an isolated vertex, where no such labelling is legal.
+    ``adj`` must be symmetric, and without the [n] label no vertex may be
+    isolated.
     """
-    if n < 2:
-        raise ValueError("the complete factor must have order at least 2")
-    _require_cap(graph, limits, "exact labelling-weight minimization")
-    m = graph.n
-    deadline = _Deadline(limits.budget_secs)
+    m = len(adj)
     special = special_tag(n)
+    last = _last_neighbours(adj)
+    slots = _frontier_width(last) + 1  # a vertex takes its slot before any leave
+    digit = special.bit_length()
+    unit = 1 << (digit * m)  # one unit of weight, above every tag digit
+    cost = [0] + [unit] * n + [n * unit]
+    # the tags a vertex may take beside no tagged class or [n] vertex, by ``used``
+    opening = [
+        tuple(range(min(used + 1, n) + 1)) + ((special,) if allow_layer_label else ())
+        for used in range(n + 1)
+    ]
+    slot_of = [0] * m
+    taken = 0  # a bit for each slot held by a frontier vertex
+    frontier: list[int] = []
+    # (used, tag, need, tag, need, ...) over the slots -> least score; a free
+    # slot reads (0, _MET)
+    states = {(0,) + (0, _MET) * slots: 0}
+    for v in range(m):
+        deadline.tick()
+        own = (~taken & (taken + 1)).bit_length() - 1
+        slot_of[v] = own
+        taken |= 1 << own
+        near = [1 + 2 * slot_of[u] for u in frontier if (adj[v] >> u) & 1]
+        frontier.append(v)
+        leaving = [1 + 2 * slot_of[u] for u in frontier if last[u] == v]
+        frontier = [u for u in frontier if last[u] != v]
+        for at in leaving:
+            taken &= ~(1 << (at >> 1))
+        at_v = 1 + 2 * own
+        place = 1 << (digit * (m - 1 - v))
+        gain = [cost[tag] + tag * place for tag in range(special + 1)]
+        after: dict[tuple[int, ...], int] = {}
+        for key, score in states.items():
+            # ``seen``: the one nonzero tag among tagged neighbours, 0 if
+            # there is none, -1 if there are several
+            seen = 0
+            for at in near:
+                t = key[at]
+                if t and t != seen:
+                    seen = -1 if seen else t
+            used = key[0]
+            if seen == 0:
+                choices = opening[used]
+            elif 0 < seen <= n:
+                choices = (0, seen)
+            else:
+                choices = (0,)
+            for tag in choices:
+                row = list(key)
+                row[at_v] = tag
+                if tag == 0:
+                    row[at_v + 1] = seen if 0 <= seen <= n else _MET
+                else:
+                    row[at_v + 1] = _MET if tag == seen or tag == special else 0
+                    if used < tag <= n:
+                        row[0] = tag
+                    for at in near:
+                        need = row[at + 1]
+                        if need == _MET:
+                            continue
+                        # a class neighbour has tag's class; a 0 neighbour
+                        # has now seen [n], a second class, or its first
+                        if row[at] or tag == special or (need and need != tag):
+                            row[at + 1] = _MET
+                        else:
+                            row[at + 1] = tag
+                for at in leaving:
+                    if row[at + 1] != _MET:
+                        break
+                    row[at] = 0
+                else:
+                    nxt = tuple(row)
+                    new = score + gain[tag]
+                    old = after.get(nxt)
+                    if old is None or new < old:
+                        after[nxt] = new
+        states = after
+    score = min(states.values())
+    mask = (1 << digit) - 1
+    tags = tuple((score >> (digit * (m - 1 - v))) & mask for v in range(m))
+    return tags, score >> (digit * m)
 
-    if m == 0:
-        return Labelling(n, ()), 0
 
-    adj = graph.adj
+def _search_min_weight(
+    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool
+) -> tuple[tuple[int, ...], int]:
+    """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound."""
+    m = len(adj)
+    special = special_tag(n)
     below = tuple(adj[v] & ((1 << v) - 1) for v in range(m))
     # vertices whose closed neighbourhood completes when v receives its tag
     finished_at: list[list[int]] = [[] for _ in range(m)]
-    for u in range(m):
-        last = u if adj[u] == 0 else max(u, adj[u].bit_length() - 1)
-        finished_at[last].append(u)
-
-    if not allow_layer_label:
-        for v in range(m):
-            if adj[v] == 0:
-                raise ValueError(
-                    f"vertex {v} is isolated: without the {SPECIAL_TEXT} label "
-                    "no labelling is legal"
-                )
+    for u, end in enumerate(_last_neighbours(adj)):
+        finished_at[end].append(u)
 
     # start above a labelling that always exists: every non-isolated vertex
     # in class 1, isolated vertices labelled [n]
@@ -365,7 +462,48 @@ def minimize_weight(
                 if seen == 0 or seen == c:
                     stack.append((v, c, partial + 1, max(used, c)))
         stack.append((v, 0, partial, used))
-    return Labelling(n, best_tags), best_weight
+    return best_tags, best_weight
+
+
+def minimize_weight(
+    graph: Graph,
+    n: int,
+    limits: SolverLimits = DEFAULT_LIMITS,
+    allow_layer_label: bool = True,
+) -> tuple[Labelling, int]:
+    """Exact minimum weight over legal labellings, with an optimum labelling.
+
+    The returned value equals ``i(G x K_n)``.  The labelling is the
+    lexicographically least optimum in canonical (first-occurrence) class
+    numbering.  ``allow_layer_label=False`` restricts the search to
+    labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
+    on a graph with an isolated vertex, where no such labelling is legal.
+
+    Graphs of at least 13 vertices whose frontier width in natural vertex
+    order is at most 2 (paths, cycles, stars) take a frontier dynamic
+    program, whose time is linear in the order; every other graph takes the
+    branch-and-bound, whose time is exponential in it.  Both read the budget
+    at every step and return the same labelling.
+    """
+    if n < 2:
+        raise ValueError("the complete factor must have order at least 2")
+    _require_cap(graph, limits, "exact labelling-weight minimization")
+    adj = graph.adj
+    if graph.n == 0:
+        return Labelling(n, ()), 0
+    if not allow_layer_label:
+        for v in range(graph.n):
+            if adj[v] == 0:
+                raise ValueError(
+                    f"vertex {v} is isolated: without the {SPECIAL_TEXT} label "
+                    "no labelling is legal"
+                )
+    deadline = _Deadline(limits.budget_secs)
+    if graph.n >= _DP_MIN_ORDER and _frontier_width(_last_neighbours(adj)) <= _DP_MAX_WIDTH:
+        tags, value = _frontier_min_weight(deadline, adj, n, allow_layer_label)
+    else:
+        tags, value = _search_min_weight(deadline, adj, n, allow_layer_label)
+    return Labelling(n, tags), value
 
 # ---------------------------------------------------------------------------
 # Closed forms and constructions for paths and cycles

@@ -14,6 +14,11 @@ from .graph import Graph, VertexSet, _bits_of
 
 MAX_PRODUCT_VERTICES = 100_000
 
+# A bitset row costs about n / 8 bytes however sparse the graph, so the rows
+# of an n-vertex graph take up to n * n / 8 bytes; graphs above this ceiling
+# are refused before they are built (about 23000 vertices).
+MAX_ROW_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class ProductGraph:
@@ -49,16 +54,38 @@ class ProductGraph:
         return f"ProductGraph({self.left!r} x {self.right!r})"
 
 
-def direct_product(left: Graph, right: Graph, max_vertices: int = MAX_PRODUCT_VERTICES) -> ProductGraph:
-    """Construct the direct product of two graphs.
+def check_row_bytes(n: int, what: str) -> None:
+    """Refuse a graph of ``n`` vertices whose rows could exceed ``MAX_ROW_BYTES``."""
+    need = n * n // 8
+    if need > MAX_ROW_BYTES:
+        raise ValueError(
+            f"{what} would have {n} vertices, whose rows take up to {need} bytes, "
+            f"above the limit of {MAX_ROW_BYTES} bytes"
+        )
 
-    Rejects products whose vertex count would exceed ``max_vertices``.
+
+def check_product_order(left_n: int, right_n: int, max_vertices: int = MAX_PRODUCT_VERTICES) -> int:
+    """The order of a product of factors of these orders.
+
+    Refused above ``max_vertices``, or when its rows could exceed
+    ``MAX_ROW_BYTES``.
     """
-    total = left.n * right.n
+    total = left_n * right_n
     if total > max_vertices:
         raise ValueError(
             f"product would have {total} vertices, above the limit of {max_vertices}"
         )
+    check_row_bytes(total, "product")
+    return total
+
+
+def direct_product(left: Graph, right: Graph, max_vertices: int = MAX_PRODUCT_VERTICES) -> ProductGraph:
+    """Construct the direct product of two graphs.
+
+    Rejects products whose vertex count would exceed ``max_vertices``, or
+    whose rows could exceed ``MAX_ROW_BYTES``.
+    """
+    total = check_product_order(left.n, right.n, max_vertices)
     nh = right.n
     rows = [0] * total
     # Row of (g, h) is the union over g' ~ g of N_H(h) shifted into g's block.

@@ -12,6 +12,8 @@ from idomlab.families import build_family
 from idomlab.formats import graph6_encode, read_certificate, write_certificate, Certificate
 from idomlab.graph import VertexSet
 from idomlab.invariants import PREDICATES
+from idomlab.labelling import check_legal, formula_value, from_independent_set
+from idomlab.products import direct_product
 from idomlab.smallgraphs import random_connected_graph
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -93,7 +95,7 @@ class TestCompute:
         [
             ("wide", ("--invariant", "i")),
             ("wide", ("--invariant", "gamma")),
-            ("path", ("--invariant", "i", "--product", "complete:3")),
+            ("wide", ("--invariant", "i", "--product", "complete:3")),
             ("path", ("--invariant", "alpha")),
             ("path", ("--invariant", "rho")),
         ],
@@ -101,7 +103,8 @@ class TestCompute:
     )
     def test_long_path_stops_within_budget(self, capsys, tmp_path, subject, query):
         # the searches keep their own stack and read the clock at every node;
-        # i and gamma solve paths by the frontier DP, so they run on a wide graph
+        # i, gamma and the labelling route solve paths by a frontier DP, so
+        # they run on a wide graph
         if subject == "wide":
             path = tmp_path / "wide.g6"
             path.write_text(WIDE_GRAPH6 + "\n")
@@ -128,6 +131,38 @@ class TestCompute:
         assert code == 0 and payload["value"] == -(-g.n // 3)
         assert PREDICATES[name](g, VertexSet.from_vertices(g.n, payload["witness"]))
         assert len(payload["witness"]) == payload["value"]
+
+    def test_labelling_dp_stops_within_budget(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "--graph", "path:3000", "--product", "complete:3",
+            "--invariant", "i", "--cap", "5000", "--budget-secs", "0.001",
+        )
+        assert code == 3 and err.startswith("aborted: solver budget exhausted")
+        assert "Traceback" not in err
+        assert json.loads(out.strip())["verdict"] == "unchecked"
+
+    def test_long_path_times_k3_is_solved_without_building_the_product(self, capsys, monkeypatch):
+        # 1800 product vertices are above the cap, so no cross-check runs
+        monkeypatch.setattr(cli, "direct_product", None)
+        code, out, _ = run_cli(
+            capsys, "compute", "--graph", "path:600", "--product", "complete:3",
+            "--invariant", "i", "--cap", "1000",
+        )
+        payload = json.loads(out.strip())
+        assert code == 0 and payload["value"] == formula_value("path", 600, 3)
+        g = build_family("path:600")
+        product = direct_product(g, build_family("complete:3"))
+        witness = VertexSet.from_vertices(product.graph.n, payload["witness"])
+        assert check_legal(g, from_independent_set(product, witness)).legal
+
+    def test_oversized_product_refused_before_solving(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "minimize_weight", None)
+        code, out, err = run_cli(
+            capsys, "compute", "--graph", "path:300", "--product", "complete:400",
+            "--invariant", "i", "--cap", "5000",
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == "error: product would have 120000 vertices, above the limit of 100000"
 
 
 class TestVerify:
@@ -437,6 +472,36 @@ class TestInputEdgePaths:
         assert code == 2 and out == ""
         assert err.startswith("error: family") and "above the limit" in err
 
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (("compute", "--graph", "path:100000", "--invariant", "i"), "family"),
+            (("compute", "--graph", "path:3", "--product", "path:100000"), "family"),
+            (("verify", "{family}"), "family"),
+            (("verify", "{product}"), "family"),
+            (("compute", "--graph", "path:200", "--product", "complete:200"), "product"),
+            (("compute", "--graph", "path:10000", "--product", "complete:3", "--invariant", "i"), "product"),
+        ],
+        ids=["compute", "compute-product", "verify-family", "verify-product", "product", "labelling"],
+    )
+    def test_graph_whose_rows_exceed_the_memory_ceiling_is_refused_at_once(
+        self, capsys, tmp_path, argv, refused
+    ):
+        # within the vertex and edge limits, but its rows would take over 64 MiB
+        long_path = {"family": "path:100000"}
+        paths = {}
+        for name, subject in (("family", long_path), ("product", {"product": [long_path, long_path]})):
+            cert = Certificate(
+                claim="upper_bound_witness", invariant="i", subject=subject, value=1, witness=(0,)
+            )
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(write_certificate(cert) + "\n")
+        started = perf_counter()
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {refused}") and "bytes, above the limit of 67108864 bytes" in err
+
     def test_multi_graph_file_rejected_for_compute(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"
         corpus.write_text("A_\nBw\n")
@@ -509,7 +574,6 @@ def test_compute_product_with_non_complete_factor(capsys):
     payload = json.loads(captured.out.strip())
     from idomlab.families import make_cycle, make_path
     from idomlab.invariants import independent_domination_number
-    from idomlab.products import direct_product
 
     expected = independent_domination_number(
         direct_product(make_path(3), make_cycle(4)).graph

@@ -27,7 +27,7 @@ from idomlab.invariants import (
     is_total_dominating,
 )
 from idomlab.graph import VertexSet
-from idomlab.products import MAX_PRODUCT_VERTICES
+from idomlab.products import MAX_PRODUCT_VERTICES, MAX_ROW_BYTES, direct_product
 
 
 class TestPlainFamilies:
@@ -223,6 +223,18 @@ class TestFamilySpecs:
     def test_specs_within_the_limit_build(self):
         assert build_family("complete:447").edge_count() == 447 * 446 // 2
         assert build_family("kbip:1,299").n == 300
+
+    def test_rows_above_the_memory_ceiling_refused_before_building(self):
+        # within the vertex and edge limits, but 100000 rows of up to 12500 bytes
+        with pytest.raises(
+            ValueError, match=f"rows take up to 1250000000 bytes, above the limit of {MAX_ROW_BYTES} bytes"
+        ):
+            build_family("path:100000")
+
+    def test_large_graphs_within_the_memory_ceiling_build(self):
+        long_path = build_family("path:3000")
+        assert direct_product(long_path, build_family("complete:3")).graph.n == 9000
+        assert direct_product(build_family("Gn:11"), build_family("Hn:11")).graph.n == 5561
 
     def test_below_floor_parameters_keep_their_message(self):
         with pytest.raises(ValueError, match="at least one vertex"):

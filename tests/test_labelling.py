@@ -3,7 +3,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from idomlab.families import make_complete, make_cycle, make_path
+from idomlab import labelling
+from idomlab.families import build_family, make_complete, make_cycle, make_path
 from idomlab.graph import build_graph
 from idomlab.invariants import (
     SolverLimits,
@@ -230,6 +231,90 @@ class TestMinimizeWeight:
         first = minimize_weight(g, 3)
         second = minimize_weight(g, 3)
         assert first == second
+
+
+def routed(route, g, n, allow_layer_label=True):
+    """``minimize_weight`` forced onto one route, or the ``ValueError`` it raises.
+
+    ``route`` is ``"dp"`` for the frontier DP or ``"search"`` for the
+    branch-and-bound, whatever the graph's order and width.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if route == "dp":
+            patch.setattr(labelling, "_DP_MIN_ORDER", 0)
+            patch.setattr(labelling, "_DP_MAX_WIDTH", g.n)
+        else:
+            patch.setattr(labelling, "_DP_MIN_ORDER", g.n + 1)
+        try:
+            return minimize_weight(g, n, SolverLimits(vertex_cap=max(g.n, 40)), allow_layer_label)
+        except ValueError as exc:
+            return str(exc)
+
+
+class TestFrontierDP:
+    """The DP and the branch-and-bound return the same least canonical optimum."""
+
+    @pytest.mark.parametrize("allow_layer_label", [True, False])
+    def test_matches_branch_and_bound_up_to_order_six(self, allow_layer_label):
+        refused = 0
+        for order in range(7):
+            for g in all_graphs(order):
+                for n in (2, 3, 4):
+                    dp = routed("dp", g, n, allow_layer_label)
+                    assert dp == routed("search", g, n, allow_layer_label)
+                    refused += isinstance(dp, str)
+        # without [n], every graph with an isolated vertex is refused
+        assert (refused > 0) == (not allow_layer_label)
+
+    def test_matches_branch_and_bound_on_paths_cycles_and_stars(self):
+        for m in range(3, 23):
+            for g in (make_path(m), make_cycle(m)):
+                for n in (2, 3, 4):
+                    assert routed("dp", g, n) == routed("search", g, n)
+                assert routed("dp", g, 3, False) == routed("search", g, 3, False)
+        for k in range(1, 31):
+            star = build_family(f"kbip:1,{k}")
+            for n in (2, 3, 4):
+                assert routed("dp", star, n) == routed("search", star, n)
+
+    def test_matches_brute_force_least_labelling(self):
+        for order in range(6):
+            for g in all_graphs(order):
+                for n in (2, 3, 4):
+                    lab, value = routed("dp", g, n)
+                    assert (value, lab.tags) == brute_least_labelling(g, n)
+
+    def test_long_paths_and_cycles_match_the_closed_form(self):
+        # beyond the branch-and-bound's reach: its time doubles every vertex or two
+        limits = SolverLimits(vertex_cap=60)
+        for m in range(23, 61):
+            for family, g in (("path", make_path(m)), ("cycle", make_cycle(m))):
+                for n in (2, 3, 4):
+                    lab, value = minimize_weight(g, n, limits)
+                    assert check_legal(g, lab).legal
+                    assert value == weight(lab) == formula_value(family, m, n)
+
+    def test_route_follows_order_and_frontier_width(self, monkeypatch):
+        routes = []
+        for name in ("_frontier_min_weight", "_search_min_weight"):
+            solve = getattr(labelling, name)
+            monkeypatch.setattr(
+                labelling, name, lambda *args, name=name, solve=solve: routes.append(name) or solve(*args)
+            )
+        narrow = [make_path(13), make_cycle(13), make_path(300), build_family("kbip:1,40")]
+        wide = [
+            make_path(12),  # narrow, but below the order floor
+            make_cycle(12),
+            build_family("cocktail:8"),  # the widest kn-route factors
+            build_family("kbip:6,6"),
+            build_family("X:6"),
+        ]
+        limits = SolverLimits(vertex_cap=300)
+        for g in narrow + wide:
+            routes.clear()
+            lab, value = minimize_weight(g, 3, limits)
+            assert check_legal(g, lab).legal and weight(lab) == value
+            assert routes == ["_frontier_min_weight" if g in narrow else "_search_min_weight"]
 
 
 class TestFormulas:

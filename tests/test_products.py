@@ -49,6 +49,12 @@ def test_product_size_guard():
         direct_product(make_path(10), make_path(11), max_vertices=100)
 
 
+def test_product_memory_guard():
+    # 40000 vertices are within the vertex limit, but their rows are not
+    with pytest.raises(ValueError, match="product would have 40000 vertices, whose rows take up to"):
+        direct_product(make_path(200), make_complete(200))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
