@@ -299,14 +299,18 @@ def _frontier_min_cover(
     coverage: tuple[int, ...],
     chooser: tuple[int, ...],
     conflict: tuple[int, ...],
+    last: list[int],
+    width: int,
 ) -> tuple[int, int]:
     """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
     Takes the cover kernel's rows, which must be symmetric and admit a cover.
+    ``last`` is ``_last_neighbours`` of the rows' union, which for ``i``,
+    ``gamma`` and ``gamma_t`` is that of the graph's adjacency rows, and
+    ``width`` its ``_frontier_width``.
     """
     n = len(coverage)
-    last = _last_neighbours(tuple(a | b | c for a, b, c in zip(coverage, chooser, conflict)))
-    shift = _frontier_width(last) + 1  # a vertex takes its slot before any leaves
+    shift = width + 1  # a vertex takes its slot before any leaves
     slot = [0] * n
     used = 0
     frontier: list[int] = []
@@ -380,8 +384,12 @@ def _solve_min_cover(
     of frontier width at most 2 in natural order (paths, cycles) take the
     frontier DP; every other graph takes the branch-and-bound.
     """
-    if graph.n > _DP_MIN_ORDER and _frontier_width(_last_neighbours(graph.adj)) <= _DP_MAX_WIDTH:
-        return (*_frontier_min_cover(deadline, coverage, chooser, conflict), "frontier-dp")
+    if graph.n > _DP_MIN_ORDER:
+        last = _last_neighbours(graph.adj)
+        width = _frontier_width(last)
+        if width <= _DP_MAX_WIDTH:
+            size, bits = _frontier_min_cover(deadline, coverage, chooser, conflict, last, width)
+            return size, bits, "frontier-dp"
     bound = [upper]
     witness = 0
     for witness in _cover_leaves(graph.full_bits, deadline, coverage, chooser, conflict, bound):

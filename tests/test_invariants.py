@@ -36,6 +36,8 @@ from idomlab.invariants import (
     _Deadline,
     _clique_cover_bound,
     _frontier_min_cover,
+    _frontier_width,
+    _last_neighbours,
 )
 from idomlab.labelling import minimize_weight
 from idomlab.products import direct_product
@@ -204,16 +206,21 @@ class TestCanonicalWitnesses:
 COVER_INVARIANTS = ("i", "gamma", "gamma_t")
 
 
-def frontier_dp(g, name):
-    """The frontier DP on the cover kernel's rows, as the solvers build them."""
+def cover_rows(g, name):
+    """The cover kernel's (coverage, chooser, conflict) rows, as the solvers build them."""
     closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
     none = (0,) * g.n
-    rows = {
+    return {
         "i": (closed, closed, g.adj),
         "gamma": (closed, closed, none),
         "gamma_t": (g.adj, g.adj, none),
     }[name]
-    return _frontier_min_cover(_Deadline(None), *rows)
+
+
+def frontier_dp(g, name):
+    """The frontier DP on the cover kernel's rows, with the frontier the router reads."""
+    last = _last_neighbours(g.adj)
+    return _frontier_min_cover(_Deadline(None), *cover_rows(g, name), last, _frontier_width(last))
 
 
 def defined(g, name):
@@ -238,6 +245,15 @@ def graphs_up_to_order_seven():
 
 
 class TestFrontierDP:
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_router_frontier_is_the_rows_frontier(self, name):
+        """The router reads ``last`` off the graph; the DP's rows reach exactly as far."""
+        graphs = list(graphs_up_to_order_seven()) + [make_path(100), make_cycle(100)]
+        for g in graphs:
+            rows = cover_rows(g, name)
+            union = tuple(a | b | c for a, b, c in zip(*rows))
+            assert _last_neighbours(union) == _last_neighbours(g.adj)
+
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_branch_and_bound_up_to_order_seven(self, name):
         for g in graphs_up_to_order_seven():

@@ -176,10 +176,11 @@ class TestMinimizeWeight:
                 assert minimize_weight(g, n)[1] == brute_min_weight_labelling(g, n)
 
     def test_least_canonical_labelling_on_all_small_graphs(self):
+        """The branch-and-bound, forced; the DP has its own brute-force test."""
         for order in range(7):
             for g in all_graphs(order):
-                for n in (2, 3):
-                    lab, value = minimize_weight(g, n)
+                for n in (2, 3, 4) if order <= 5 else (2, 3):
+                    lab, value = routed("search", g, n)
                     assert (value, lab.tags) == brute_least_labelling(g, n)
 
     def test_agrees_with_product_solver(self):
@@ -315,6 +316,42 @@ class TestFrontierDP:
             lab, value = minimize_weight(g, 3, limits)
             assert check_legal(g, lab).legal and weight(lab) == value
             assert routes == ["_frontier_min_weight" if g in narrow else "_search_min_weight"]
+
+
+# the dense factors of the benchmark's kn-route workload, beyond the CLI's
+# cap of 40 once multiplied by K_n, so ``compute`` never cross-checks them
+KN_DENSE_FACTORS = (
+    [f"cocktail:{r}" for r in range(4, 9)]
+    + [f"kbip:{a},{a}" for a in range(3, 7)]
+    + [f"X:{m}" for m in range(3, 7)]
+)
+
+
+class TestSearch:
+    """The branch-and-bound with its look-ahead, on dense factors."""
+
+    @pytest.mark.parametrize("spec", KN_DENSE_FACTORS)
+    def test_dense_factors_match_the_product(self, spec):
+        g = build_family(spec)
+        for n in (3, 4):
+            lab, value = minimize_weight(g, n)
+            product = direct_product(g, make_complete(n)).graph
+            assert value == independent_domination_number(product, SolverLimits(product.n)).value
+            assert check_legal(g, lab).legal
+            assert weight(lab) == value
+
+    @pytest.mark.parametrize("spec, n, most", [("cocktail:8", 4, 1000), ("kbip:6,6", 3, 2000)])
+    def test_look_ahead_cuts_dense_factors_short(self, monkeypatch, spec, n, most):
+        """Without the look-ahead these take 49,475 and 20,877 nodes."""
+        ticks = []
+
+        class Counting(labelling._Deadline):
+            def tick(self):
+                ticks.append(None)
+
+        monkeypatch.setattr(labelling, "_Deadline", Counting)
+        minimize_weight(build_family(spec), n)
+        assert 0 < len(ticks) <= most
 
 
 class TestFormulas:
