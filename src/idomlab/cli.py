@@ -104,7 +104,8 @@ def _emit_rows(rows: list[dict[str, Any]], out: str) -> None:
     if out == "csv":
         if not rows:
             return
-        columns = list(rows[0].keys())
+        # the union of the rows' keys, in first-seen order
+        columns = list(dict.fromkeys(key for row in rows for key in row))
         sys.stdout.write(",".join(columns) + "\n")
         for row in rows:
             sys.stdout.write(
@@ -824,8 +825,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call and reused by every later one: building it
+# costs more than most small answers.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.cap is None:
             args.cap = _default_cap()

@@ -293,8 +293,20 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # the prefixes reaching it: the weight, then the prefix's tags as digits.
 # Prefixes reaching one state have the same completions, so the least final
 # score is the branch-and-bound's optimum, with no backward pass.  The number
-# of states follows ``n`` and the frontier width, not the order, so the DP's
-# time is linear in the order.
+# of states follows ``n`` and the frontier width, not the order; only the
+# score's digits grow with the order.
+#
+# A state is packed into one int of fixed-width fields of ``b`` bits, ``b``
+# the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field,
+# then for each frontier slot ``s`` its vertex's tag at bit ``b * (1 + 2s)``
+# and its need plus one at bit ``b * (2 + 2s)``, so a met need and a free
+# slot read 0.  A vertex takes the slot of a neighbour that leaves as it is
+# tagged, or else the lowest free slot.  A vertex's moves depend only on
+# ``used`` and the fields of its tagged neighbours' slots, so each distinct
+# such key is worked out once (``_tag_moves``) into the tags the vertex may
+# take, each with the new fields to OR into the rest of the state; vertices
+# that see the same slots share one table, which on a path or a cycle is
+# nearly all of them.
 #
 # ``minimize_weight`` takes the DP on graphs of at least ``_DP_MIN_ORDER``
 # vertices whose natural-order frontier width is at most ``_DP_MAX_WIDTH``
@@ -302,10 +314,74 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # Below that order the branch-and-bound is as fast (measured on paths and
 # cycles with n = 2, 3, 4); on wider graphs the DP's states multiply.
 
-_DP_MIN_ORDER = 13
+_DP_MIN_ORDER = 11
 _DP_MAX_WIDTH = 2
 
-_MET = -1  # the need of a vertex whose condition 2 or 4 holds, or of a free slot
+
+def _tag_moves(
+    key: int,
+    n: int,
+    allow_layer_label: bool,
+    bits: int,
+    near: tuple[int, ...],
+    leaving: tuple[int, ...],
+    own: int,
+) -> tuple[tuple[int, int], ...]:
+    """The tags a vertex may take from one packed state, each with the fields it leaves.
+
+    ``key`` holds a state's ``used`` and the fields of the slots in ``near``,
+    those of the vertex's tagged neighbours.  The neighbours in the slots
+    ``leaving`` leave the frontier, and the vertex takes slot ``own``, or
+    leaves at once if ``own`` is -1.  Each move is ``(tag, fields)``:
+    ``fields`` holds the new ``used`` and the new fields of ``near`` and
+    ``own``, with the leaving ones cleared.  A tag that leaves a vertex with
+    an unmet need has no move.
+    """
+    special = special_tag(n)
+    field = (1 << bits) - 1
+    used = key & field
+    # ``seen``: the one nonzero tag among tagged neighbours, 0 if there is
+    # none, -1 if there are several
+    seen = 0
+    neighbours = []  # (shift, tag, need, leaves) for each slot in ``near``
+    for s in near:
+        shift = bits * (1 + 2 * s)
+        t = (key >> shift) & field
+        neighbours.append((shift, t, (key >> (shift + bits)) & field, s in leaving))
+        if t and t != seen:
+            seen = -1 if seen else t
+    if seen == 0:
+        choices = list(range(min(used + 1, n) + 1)) + ([special] if allow_layer_label else [])
+    elif 0 < seen <= n:
+        choices = [0, seen]
+    else:
+        choices = [0]
+    own_shift = bits * (1 + 2 * own)
+    moves = []
+    for tag in choices:
+        if tag == 0:
+            mine = seen + 1 if 0 <= seen <= n else 0
+        else:
+            mine = 0 if tag == seen or tag == special else 1
+        if own < 0 and mine:
+            continue
+        fields = max(used, tag) if tag <= n else used
+        for shift, t, need, leaves in neighbours:
+            if need and tag:
+                # a class neighbour has tag's class; a 0 neighbour has now
+                # seen [n], a second class, or its first
+                met = t or tag == special or (need > 1 and need != tag + 1)
+                need = 0 if met else tag + 1
+            if leaves:
+                if need:
+                    break
+            else:
+                fields |= t << shift | need << (shift + bits)
+        else:
+            if own >= 0:
+                fields |= tag << own_shift | mine << (own_shift + bits)
+            moves.append((tag, fields))
+    return tuple(moves)
 
 
 def _frontier_min_weight(
@@ -314,95 +390,65 @@ def _frontier_min_weight(
     n: int,
     allow_layer_label: bool,
     last: list[int],
-    width: int,
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by frontier DP.
 
     ``adj`` must be symmetric, and without the [n] label no vertex may be
-    isolated.  ``last`` is ``_last_neighbours(adj)`` and ``width`` its
-    ``_frontier_width``.
+    isolated.  ``last`` is ``_last_neighbours(adj)``.
     """
     m = len(adj)
     special = special_tag(n)
-    slots = width + 1  # a vertex takes its slot before any leave
-    digit = special.bit_length()
-    unit = 1 << (digit * m)  # one unit of weight, above every tag digit
+    bits = special.bit_length()  # ``used``, a tag and a need each fit
+    field = (1 << bits) - 1
+    both = (1 << (2 * bits)) - 1  # a slot's tag and need
+    unit = 1 << (bits * m)  # one unit of weight, above every tag digit
     cost = [0] + [unit] * n + [n * unit]
-    # the tags a vertex may take beside no tagged class or [n] vertex, by ``used``
-    opening = [
-        tuple(range(min(used + 1, n) + 1)) + ((special,) if allow_layer_label else ())
-        for used in range(n + 1)
-    ]
     slot_of = [0] * m
     taken = 0  # a bit for each slot held by a frontier vertex
     frontier: list[int] = []
-    # (used, tag, need, tag, need, ...) over the slots -> least score; a free
-    # slot reads (0, _MET)
-    states = {(0,) + (0, _MET) * slots: 0}
+    # (near, leaving, own) -> {a state's used and near fields -> moves}
+    tables: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
+    states = {0: 0}  # packed state -> least score
     for v in range(m):
         deadline.tick()
-        own = (~taken & (taken + 1)).bit_length() - 1
-        slot_of[v] = own
-        taken |= 1 << own
-        near = [1 + 2 * slot_of[u] for u in frontier if (adj[v] >> u) & 1]
-        frontier.append(v)
-        leaving = [1 + 2 * slot_of[u] for u in frontier if last[u] == v]
+        near = tuple(slot_of[u] for u in frontier if (adj[v] >> u) & 1)
+        leaving = tuple(slot_of[u] for u in frontier if last[u] == v)
         frontier = [u for u in frontier if last[u] != v]
-        for at in leaving:
-            taken &= ~(1 << (at >> 1))
-        at_v = 1 + 2 * own
-        place = 1 << (digit * (m - 1 - v))
+        for s in leaving:
+            taken &= ~(1 << s)
+        if last[v] == v:
+            own = -1
+        else:
+            # the slot of a leaving neighbour if there is one, so that long
+            # runs of vertices share one table
+            own = leaving[0] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            slot_of[v] = own
+            taken |= 1 << own
+            frontier.append(v)
+        local = field
+        for s in near:
+            local |= both << (bits * (1 + 2 * s))
+        keep = ~(local | both << (bits * (1 + 2 * own))) if own >= 0 else ~local
+        table = tables.setdefault((near, leaving, own), {})
+        place = 1 << (bits * (m - 1 - v))
         gain = [cost[tag] + tag * place for tag in range(special + 1)]
-        after: dict[tuple[int, ...], int] = {}
-        for key, score in states.items():
-            # ``seen``: the one nonzero tag among tagged neighbours, 0 if
-            # there is none, -1 if there are several
-            seen = 0
-            for at in near:
-                t = key[at]
-                if t and t != seen:
-                    seen = -1 if seen else t
-            used = key[0]
-            if seen == 0:
-                choices = opening[used]
-            elif 0 < seen <= n:
-                choices = (0, seen)
-            else:
-                choices = (0,)
-            for tag in choices:
-                row = list(key)
-                row[at_v] = tag
-                if tag == 0:
-                    row[at_v + 1] = seen if 0 <= seen <= n else _MET
-                else:
-                    row[at_v + 1] = _MET if tag == seen or tag == special else 0
-                    if used < tag <= n:
-                        row[0] = tag
-                    for at in near:
-                        need = row[at + 1]
-                        if need == _MET:
-                            continue
-                        # a class neighbour has tag's class; a 0 neighbour
-                        # has now seen [n], a second class, or its first
-                        if row[at] or tag == special or (need and need != tag):
-                            row[at + 1] = _MET
-                        else:
-                            row[at + 1] = tag
-                for at in leaving:
-                    if row[at + 1] != _MET:
-                        break
-                    row[at] = 0
-                else:
-                    nxt = tuple(row)
-                    new = score + gain[tag]
-                    old = after.get(nxt)
-                    if old is None or new < old:
-                        after[nxt] = new
+        after: dict[int, int] = {}
+        for state, score in states.items():
+            key = state & local
+            moves = table.get(key)
+            if moves is None:
+                moves = table[key] = _tag_moves(key, n, allow_layer_label, bits, near, leaving, own)
+            rest = state & keep
+            for tag, fields in moves:
+                nxt = rest | fields
+                new = score + gain[tag]
+                old = after.get(nxt)
+                if old is None or new < old:
+                    after[nxt] = new
         states = after
     score = min(states.values())
-    mask = (1 << digit) - 1
-    tags = tuple((score >> (digit * (m - 1 - v))) & mask for v in range(m))
-    return tags, score >> (digit * m)
+    tags = tuple((score >> (bits * (m - 1 - v))) & field for v in range(m))
+    return tags, score >> (bits * m)
 
 
 def _search_min_weight(
@@ -594,14 +640,15 @@ def minimize_weight(
     labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
     on a graph with an isolated vertex, where no such labelling is legal.
 
-    Graphs of at least 13 vertices whose frontier width in natural vertex
+    Graphs of at least 11 vertices whose frontier width in natural vertex
     order is at most 2 (paths, cycles, stars) take a frontier dynamic
-    program, whose time is linear in the order; every other graph takes the
-    branch-and-bound, whose time is exponential in it.  Once a vertex is
-    tagged, the branch-and-bound cuts the branch when some tagged vertex can
-    no longer meet condition 2 or 4 from the tags its untagged neighbours
-    may still take; such a branch holds no legal labelling, so the cut
-    changes the work, not the result.  Both routes read the budget at every
+    program, whose states are packed into ints and whose state count
+    follows ``n`` and the width, not the order; every other graph takes the
+    branch-and-bound, whose time is exponential in the order.  Once a vertex
+    is tagged, the branch-and-bound cuts the branch when some tagged vertex
+    can no longer meet condition 2 or 4 from the tags its untagged
+    neighbours may still take; such a branch holds no legal labelling, so
+    the cut changes the work, not the result.  Both routes read the budget at every
     step and return the same labelling.
     """
     if n < 2:
@@ -619,13 +666,12 @@ def minimize_weight(
                 )
     deadline = _Deadline(limits.budget_secs)
     last = _last_neighbours(adj)
-    if graph.n >= _DP_MIN_ORDER:
-        width = _frontier_width(last)
-        if width <= _DP_MAX_WIDTH:
-            tags, value = _frontier_min_weight(deadline, adj, n, allow_layer_label, last, width)
-            return Labelling(n, tags), value
-    tags, value = _search_min_weight(deadline, adj, n, allow_layer_label, last)
+    if graph.n >= _DP_MIN_ORDER and _frontier_width(last) <= _DP_MAX_WIDTH:
+        tags, value = _frontier_min_weight(deadline, adj, n, allow_layer_label, last)
+    else:
+        tags, value = _search_min_weight(deadline, adj, n, allow_layer_label, last)
     return Labelling(n, tags), value
+
 
 # ---------------------------------------------------------------------------
 # Closed forms and constructions for paths and cycles

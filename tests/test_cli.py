@@ -1,5 +1,8 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 from random import Random
 from time import perf_counter
 from types import SimpleNamespace
@@ -247,6 +250,19 @@ class TestReproduce:
     def test_conj_refutation(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "conj-refutation")
         assert code == 0
+
+    def test_csv_keeps_every_rows_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "conj-refutation")
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        code, out, _ = run_cli(capsys, "reproduce", "conj-refutation", "--out", "csv")
+        assert code == 0
+        table = list(csv.DictReader(out.splitlines()))
+        # the second row has a key the first lacks
+        assert set(rows[1]) - set(rows[0]) == {"product_bound_below_left_factor"}
+        assert set(table[0]) == set(rows[0]) | set(rows[1])
+        assert table[1]["product_bound_below_left_factor"] == "True"
+        assert table[0]["product_bound_below_left_factor"] == ""
 
     def test_thm12_small(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "thm12", "--n", "3")
@@ -582,3 +598,41 @@ def test_compute_product_with_non_complete_factor(capsys):
     assert payload["subject"] == {
         "product": [{"family": "path:3"}, {"family": "cycle:4"}]
     }
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    ARGV = ["compute", "--graph", "cycle:16", "--product", "complete:3", "--invariant", "i"]
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--invariant", "nope"])
+        assert exc.value.code == 2
+        assert run_cli(capsys, "compute", "--graph", "tree:5")[0] == 2
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("IDOMLAB_CAP", None)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "idomlab.cli", *self.ARGV],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert code == fresh.returncode == 0 and out == fresh.stdout
+
+    def test_env_cap_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["compute", "--graph", "X:3", "--invariant", "i"]
+        monkeypatch.delenv("IDOMLAB_CAP", raising=False)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("IDOMLAB_CAP", "10")
+        assert run_cli(capsys, *argv)[0] == 3
+        monkeypatch.delenv("IDOMLAB_CAP")
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+        for _ in range(5):
+            assert run_cli(capsys, "compute", "--graph", "path:4")[0] == 0
+        assert len(built) == 1

@@ -295,6 +295,18 @@ class TestFrontierDP:
                     assert check_legal(g, lab).legal
                     assert value == weight(lab) == formula_value(family, m, n)
 
+    @pytest.mark.parametrize("family, m", [("path", 1000), ("cycle", 999)])
+    def test_long_path_and_cycle_at_scale(self, family, m):
+        g = build_family(f"{family}:{m}")
+        lab, value = minimize_weight(g, 3, SolverLimits(vertex_cap=m))
+        assert check_legal(g, lab).legal
+        assert value == weight(lab) == formula_value(family, m, 3)
+
+    def test_many_classes_give_the_three_class_value(self):
+        # i(C_m x K_n) is the same for every n >= 3; a larger n only adds states
+        g, limits = make_cycle(60), SolverLimits(vertex_cap=60)
+        assert minimize_weight(g, 20, limits)[1] == minimize_weight(g, 3, limits)[1]
+
     def test_route_follows_order_and_frontier_width(self, monkeypatch):
         routes = []
         for name in ("_frontier_min_weight", "_search_min_weight"):
@@ -304,8 +316,8 @@ class TestFrontierDP:
             )
         narrow = [make_path(13), make_cycle(13), make_path(300), build_family("kbip:1,40")]
         wide = [
-            make_path(12),  # narrow, but below the order floor
-            make_cycle(12),
+            make_path(labelling._DP_MIN_ORDER - 1),  # narrow, but below the order floor
+            make_cycle(labelling._DP_MIN_ORDER - 1),
             build_family("cocktail:8"),  # the widest kn-route factors
             build_family("kbip:6,6"),
             build_family("X:6"),
