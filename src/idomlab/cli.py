@@ -825,15 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first ``main`` call and reused by every later one: building it
-# costs more than most small answers.
-_parser: Optional[argparse.ArgumentParser] = None
+# Built once, on import, and reused by every ``main`` call: building it costs
+# more than most small answers, and built on import its cost falls on no answer,
+# whichever comes first.
+_parser = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
         if args.cap is None:

@@ -628,11 +628,28 @@ class TestParserReuse:
         monkeypatch.delenv("IDOMLAB_CAP")
         assert run_cli(capsys, *argv)[0] == 0
 
-    def test_parser_built_once(self, capsys, monkeypatch):
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
-        for _ in range(5):
-            assert run_cli(capsys, "compute", "--graph", "path:4")[0] == 0
-        assert len(built) == 1
+    def test_parser_built_once(self):
+        # the parser is built when idomlab.cli is imported, and no main call builds another
+        script = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from idomlab import cli\n"
+            "on_import = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['compute', '--graph', 'path:4']) for _ in range(5)]\n"
+            "print(on_import, len(built), codes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("IDOMLAB_CAP", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        on_import, after_calls, codes = done.stdout.split(" ", 2)
+        assert int(on_import) > 0
+        assert int(after_calls) == int(on_import)
+        assert codes.strip() == "[0, 0, 0, 0, 0]"
