@@ -3,8 +3,9 @@
 All solvers are exact searches on bitset adjacency rows, meant for
 desk-scale graphs (the default cap is 40 vertices).  They are
 branch-and-bound searches, except that ``i``, ``gamma`` and ``gamma_t`` on
-long graphs of frontier width at most 2 (paths, cycles) take a dynamic
-program over the vertex order, whose cost is linear in the order.  Every
+graphs of at least 24 vertices and frontier width at most 6 (paths, cycles,
+``P_m x K_n`` for n <= 4) take a dynamic program over the vertex order,
+whose cost is linear in the order for a fixed width.  Every
 result carries a witness set that re-verifies under the matching predicate,
 and the reported witness is always the lexicographically smallest optimum,
 so results do not depend on traversal or worker scheduling.
@@ -270,11 +271,15 @@ def _cover_leaves(
 # to the best cover through it, and the final score is the least optimum the
 # branch-and-bound reaches first.
 
-# Route to the DP above this order and at most this natural-order width.
-# Below the order the branch-and-bound is as fast; above the width the DP's
-# state count grows past it.
-_DP_MIN_ORDER = 40
-_DP_MAX_WIDTH = 2
+# Route to the DP from this order and at most this natural-order width.
+# Both routes timed on every cover solve of one pass of the paper's
+# reproduce targets and verify and one of the kn-route benchmark: from 24
+# vertices the DP took width 4 from 37 to 13 ms (27 solves) and width 6 from
+# 35 to 5.4 ms (12), but width 7 from 21 to 29 ms (17); from 12 to 23
+# vertices it was slower at widths 4 to 7 (width 6: 7.0 -> 10.8 ms, 74
+# solves).
+_DP_MIN_ORDER = 24
+_DP_MAX_WIDTH = 6
 
 
 def _last_neighbours(rows: tuple[int, ...]) -> list[int]:
@@ -380,11 +385,14 @@ def _solve_min_cover(
 ) -> tuple[int, int, str]:
     """Return ``(size, bits, method)`` of the lexicographically least minimum cover.
 
-    ``upper`` is one more than the size of some feasible cover.  Long graphs
-    of frontier width at most 2 in natural order (paths, cycles) take the
-    frontier DP; every other graph takes the branch-and-bound.
+    ``upper`` is one more than the size of some feasible cover.  Graphs of
+    at least ``_DP_MIN_ORDER`` vertices whose frontier width in natural
+    order is at most ``_DP_MAX_WIDTH`` take the frontier DP; every other
+    graph takes the branch-and-bound, which is as fast below 24 vertices
+    and faster above width 6, where the DP's states multiply (the
+    measured crossover is in the comment on ``_DP_MIN_ORDER``).
     """
-    if graph.n > _DP_MIN_ORDER:
+    if graph.n >= _DP_MIN_ORDER:
         last = _last_neighbours(graph.adj)
         width = _frontier_width(last)
         if width <= _DP_MAX_WIDTH:

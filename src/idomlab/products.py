@@ -87,16 +87,13 @@ def direct_product(left: Graph, right: Graph, max_vertices: int = MAX_PRODUCT_VE
     """
     total = check_product_order(left.n, right.n, max_vertices)
     nh = right.n
-    rows = [0] * total
-    # Row of (g, h) is the union over g' ~ g of N_H(h) shifted into g's block.
-    for g in range(left.n):
-        base = g * nh
-        for h in range(nh):
-            row = 0
-            neighbours_h = right.adj[h]
-            for g2 in _bits_of(left.adj[g]):
-                row |= neighbours_h << (g2 * nh)
-            rows[base + h] = row
+    # Row of (g, h) is the union over g' ~ g of N_H(h) shifted into the block
+    # of g'.  spread[g] holds bit g' * nh for each g' ~ g, and N_H(h) is below
+    # 1 << nh, so spread[g] * N_H(h) lays one copy of N_H(h) in each such
+    # block: the blocks are disjoint, no carry crosses them, and the product
+    # is that union.
+    spread = [sum(1 << (g2 * nh) for g2 in _bits_of(row)) for row in left.adj]
+    rows = [s * nb for s in spread for nb in right.adj]
     labels = None
     if left.labels is not None and right.labels is not None:
         labels = tuple(

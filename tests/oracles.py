@@ -116,6 +116,23 @@ def brute_rho(graph: Graph) -> int:
     return best
 
 
+def brute_direct_product_neighbours(left: Graph, right: Graph) -> list[set[int]]:
+    """Neighbour sets of the direct product ``left x right``, by its definition.
+
+    ``(g, h) ~ (g2, h2)`` exactly when ``g ~ g2`` and ``h ~ h2``; the pair
+    ``(g, h)`` is vertex ``g * n(right) + h``.  Every pair of pairs is tested.
+    """
+    pairs = [(g, h) for g in range(left.n) for h in range(right.n)]
+    return [
+        {
+            g2 * right.n + h2
+            for g2, h2 in pairs
+            if left.has_edge(g, g2) and right.has_edge(h, h2)
+        }
+        for g, h in pairs
+    ]
+
+
 def brute_two_coloring(graph: Graph) -> bool:
     """Whether any red/blue assignment avoids monochromatic edges."""
     for colours in iproduct((0, 1), repeat=graph.n):

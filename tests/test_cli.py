@@ -158,6 +158,18 @@ class TestCompute:
         witness = VertexSet.from_vertices(product.graph.n, payload["witness"])
         assert check_legal(g, from_independent_set(product, witness)).legal
 
+    def test_narrow_product_cross_check_answers_at_scale(self, capsys):
+        # 3000 product vertices are under the cap, so the cover DP on the
+        # product (width 4) cross-checks the labelling DP within the budget
+        code, out, err = run_cli(
+            capsys, "compute", "--graph", "path:1000", "--product", "complete:3",
+            "--invariant", "i", "--cap", "3000", "--budget-secs", "1",
+        )
+        payload = json.loads(out.strip())
+        assert code == 0 and payload["value"] == formula_value("path", 1000, 3) == 668
+        assert payload["verdict"] == "verified"
+        assert "cross-check against the product solver agreed: 668" in err
+
     def test_oversized_product_refused_before_solving(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "minimize_weight", None)
         code, out, err = run_cli(

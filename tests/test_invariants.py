@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from idomlab import invariants
 from idomlab.graph import Graph, build_graph
 from idomlab.families import (
     build_family,
@@ -227,6 +228,40 @@ def defined(g, name):
     return name != "gamma_t" or (g.n > 0 and all(g.adj))
 
 
+def forced_search(g, name):
+    """``(value, witness bits)`` from the branch-and-bound, whatever the graph's order and width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_DP_MIN_ORDER", g.n + 1)
+        result = invariant(g, name, SolverLimits(vertex_cap=max(g.n, 40)))
+    assert result.method == "branch-and-bound"
+    return result.value, result.witness.bits
+
+
+def two_paths(a, b):
+    """Disjoint paths on vertices ``0..a-1`` and ``a..a+b-1``."""
+    edges = [(u, u + 1) for u in range(a - 1)] + [(a + u, a + u + 1) for u in range(b - 1)]
+    return build_graph(a + b, edges)
+
+
+def narrow_covers(name):
+    """Graphs of 24 to 60 vertices within the DP's width cap.
+
+    ``P_m x K_3`` and ``P_m x K_4`` stop lower for gamma and gamma_t, where
+    the branch-and-bound they are checked against takes seconds (gamma_t on
+    ``P_9 x K_3`` about 0.6 s, gamma on ``P_13 x K_4`` about 2 s).
+    """
+    top = {"i": 60, "gamma": 36, "gamma_t": 26}[name]
+    graphs = [
+        direct_product(make_path(m), make_complete(n)).graph
+        for n in (3, 4)
+        for m in range(-(-24 // n), top // n + 1)
+    ]
+    graphs += [direct_product(make_path(m), make_complete(2)).graph for m in range(12, 31, 3)]
+    graphs += [direct_product(make_cycle(m), make_complete(2)).graph for m in range(12, 30, 4)]
+    graphs += [two_paths(t // 2, t - t // 2) for t in range(24, 61, 6)]
+    return graphs
+
+
 @lru_cache(maxsize=None)
 def graphs_up_to_order_seven():
     """Every graph of order at most 7 up to isomorphism, order 7 with repeats.
@@ -266,9 +301,15 @@ class TestFrontierDP:
     def test_matches_branch_and_bound_on_paths_and_cycles(self, name):
         for m in range(3, 31):
             for g in (make_path(m), make_cycle(m)):
-                result = invariant(g, name)
-                assert result.method == "branch-and-bound"
-                assert frontier_dp(g, name) == (result.value, result.witness.bits)
+                assert frontier_dp(g, name) == forced_search(g, name)
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_routed_narrow_covers_match_branch_and_bound(self, name):
+        limits = SolverLimits(vertex_cap=60)
+        for g in narrow_covers(name):
+            result = invariant(g, name, limits)
+            assert result.method == "frontier-dp"
+            assert (result.value, result.witness.bits) == forced_search(g, name)
 
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_brute_force_least_optimum(self, name):
@@ -286,9 +327,14 @@ class TestFrontierDP:
             result = invariant(narrow, name, limits)
             assert result.method == "frontier-dp"
             assert PREDICATES[name](narrow, result.witness)
+        for g in (
+            make_path(invariants._DP_MIN_ORDER),
+            direct_product(make_path(20), make_complete(4)).graph,  # width 6
+        ):
+            assert invariant(g, "i", limits).method == "frontier-dp"
         wide = [
-            make_path(40),  # narrow, but not above the order floor
-            direct_product(make_cycle(30), make_complete(2)).graph,  # width 4
+            make_path(invariants._DP_MIN_ORDER - 1),  # narrow, but below the order floor
+            direct_product(make_cycle(10), make_complete(3)).graph,  # width 7
             random_connected_graph(random.Random(1), 26, 0.15),  # a dense-factors draw
         ]
         for g in wide:

@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idomlab.graph import build_graph, is_connected, max_degree, min_degree
+from idomlab.graph import VertexSet, build_graph, is_connected, max_degree, min_degree
 from idomlab.families import make_complete, make_cycle, make_path
 from idomlab.invariants import is_independent, is_maximal_independent
 from idomlab.products import direct_product, layer, project
 from idomlab.smallgraphs import random_graph
 
-from oracles import brute_maximal_independent_sets, vertex_set
+from oracles import brute_direct_product_neighbours, brute_maximal_independent_sets, vertex_set
 
 
 def test_k2_times_k2_is_two_disjoint_edges():
@@ -75,6 +75,37 @@ def test_edge_count_and_commutativity(nl, nr, rnd):
                     assert p.graph.has_edge(p.encode(g, h), p.encode(g2, h2)) == q.graph.has_edge(
                         q.encode(h, g), q.encode(h2, g2)
                     )
+
+
+def _labelled_random_factor(rng, tag):
+    """A random factor of order 1..7, edgeless at p = 0 and often disconnected."""
+    n = rng.randint(1, 7)
+    p = rng.choice((0.0, 0.2, 0.5, 0.9))
+    edges = random_graph(rng, n, p).edges()
+    return build_graph(n, list(edges), labels=tuple(f"{tag}{v}" for v in range(n)))
+
+
+def test_rows_match_the_definition():
+    rng = random.Random(1231)
+    fixed = [  # order 1, edgeless and disconnected factors, unlabelled
+        (build_graph(1, []), build_graph(1, [])),
+        (build_graph(1, []), make_path(3)),
+        (build_graph(3, []), make_cycle(4)),
+        (build_graph(4, [(0, 1), (2, 3)]), make_complete(3)),
+    ]
+    pairs = fixed + [
+        (_labelled_random_factor(rng, "a"), _labelled_random_factor(rng, "b")) for _ in range(200)
+    ]
+    for left, right in pairs:
+        p = direct_product(left, right)
+        members = [set(VertexSet(p.graph.n, row)) for row in p.graph.adj]
+        assert members == brute_direct_product_neighbours(left, right)
+        if left.labels is not None and right.labels is not None:
+            assert p.graph.labels == tuple(
+                f"({a},{b})" for a in left.labels for b in right.labels
+            )
+        else:
+            assert p.graph.labels is None
 
 
 def test_layers_are_independent_and_correct():
