@@ -637,6 +637,9 @@ def _search_task(
     except _RESOURCE_FAILURES:
         return {"error": "budget"}
     report = reports[0]
+    if report.applicable and report.holds is None:
+        # a conjecture relation reports a solve above the cap as unchecked
+        return {"error": "budget"}
     return {
         "violation": report.applicable and report.holds is False,
         "lhs": report.lhs,
@@ -670,20 +673,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
     deadline = None
     if args.budget_secs is not None:
         deadline = perf_counter() + args.budget_secs
-    # the budget bounds the whole scan, checked between pairs, not each solve
-    limits = SolverLimits(vertex_cap=args.cap)
+    # each solve gets the whole budget, and the scan stops at the first pair
+    # after the budget has run out
+    limits = SolverLimits(vertex_cap=args.cap, budget_secs=args.budget_secs)
     payloads = [(bound_id, limits, left.adj, right.adj) for _, _, left, right in pairs]
     rows: list[dict[str, Any]] = []
     violations = 0
-    budget_hit = False
-    done = 0
+    done = 0  # pairs evaluated; a pair whose solve fails on the cap or the budget is not
 
     for index, result in enumerate(_imap_tasks(_search_task, payloads, args.workers)):
+        if result.get("error") == "budget":
+            break
         done = index + 1
         name_left, name_right, _, _ = pairs[index]
-        if result.get("error") == "budget":
-            budget_hit = True
-            break
         if result["violation"]:
             violations += 1
         if result["violation"] or args.report_all:
@@ -697,16 +699,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 }
             )
         if deadline is not None and perf_counter() > deadline:
-            budget_hit = True
             break
 
-    if budget_hit and done < len(pairs):
+    partial = done < len(pairs)
+    if partial:
         rows.append({"partial_scan": True, "pairs_done": done, "pairs_total": len(pairs)})
     _emit_rows(rows, args.out)
     _note(
         f"scanned {done}/{len(pairs)} pairs against {bound_id}: {violations} violation(s)"
     )
-    if budget_hit and done < len(pairs):
+    if partial:
         return EXIT_BUDGET
     return EXIT_MISMATCH if violations else EXIT_OK
 

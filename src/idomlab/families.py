@@ -18,6 +18,7 @@ the executable content of the constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Graph, VertexSet, build_graph
 from .products import MAX_PRODUCT_VERTICES, ProductGraph, check_row_bytes, direct_product
@@ -222,15 +223,34 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "kbip": 2,
-    "cocktail": 1,
-    "X": 1,
-    "Gn": 1,
-    "Hn": 1,
+def _no_witness(make: Callable[..., Graph]) -> Callable[..., tuple[Graph, None]]:
+    return lambda *params: (make(*params), None)
+
+
+# kind -> (parameter count, vertex and edge counts worked out from the
+# parameters, generator returning the graph and its packaged witness or None)
+_FAMILIES = {
+    "path": (1, lambda m: (m, max(m - 1, 0)), _no_witness(make_path)),
+    "cycle": (1, lambda m: (m, m), _no_witness(make_cycle)),
+    "complete": (1, lambda n: (n, n * (n - 1) // 2), _no_witness(make_complete)),
+    "kbip": (2, lambda a, b: (a + b, a * b), _no_witness(make_complete_bipartite)),
+    "cocktail": (1, lambda r: (2 * r, 2 * r * (r - 1)), make_cocktail),
+    "X": (1, lambda m: (4 + 4 * m, 2 + 8 * m), make_X),
+    # six pair edges, each block joined to both ends of its pairs, and the
+    # four cross edges of each clique pair
+    "Gn": (
+        1,
+        lambda n: (
+            12 + 5 * n,
+            6 + 2 * sum(len(s) for s in GN_BLOCK_SETS) * n + 4 * len(GN_CLIQUE_PAIRS),
+        ),
+        make_Gn,
+    ),
+    "Hn": (
+        1,
+        lambda n: (6 + 7 * n, len(HN_BASE_EDGES) + sum(len(s) for s in HN_BLOCK_SETS) * n),
+        make_Hn,
+    ),
 }
 
 
@@ -240,17 +260,23 @@ def parse_family(text: str) -> FamilySpec:
     if not sep:
         raise ValueError(f"family spec {text!r} must look like 'kind:params'")
     kind = head.strip()
-    if kind not in _FAMILY_ARITY:
-        raise ValueError(f"unknown family kind {kind!r}; choose from {sorted(_FAMILY_ARITY)}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}; choose from {sorted(_FAMILIES)}")
     try:
         params = tuple(int(p) for p in tail.split(","))
     except ValueError:
         raise ValueError(f"family spec {text!r} has non-integer parameters") from None
-    if len(params) != _FAMILY_ARITY[kind]:
-        raise ValueError(
-            f"family {kind!r} takes {_FAMILY_ARITY[kind]} parameter(s), got {len(params)}"
-        )
+    arity = _FAMILIES[kind][0]
+    if len(params) != arity:
+        raise ValueError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
     return FamilySpec(kind, params)
+
+
+def _family(spec: FamilySpec) -> tuple:
+    try:
+        return _FAMILIES[spec.kind]
+    except KeyError:
+        raise ValueError(f"unknown family kind {spec.kind!r}") from None
 
 
 def family_size(spec: FamilySpec) -> tuple[int, int]:
@@ -259,37 +285,8 @@ def family_size(spec: FamilySpec) -> tuple[int, int]:
     Negative parameters count as 0, so the generators themselves report
     a parameter below their floor.
     """
-    params = tuple(max(p, 0) for p in spec.params)
-    kind = spec.kind
-    if kind == "path":
-        (m,) = params
-        return m, max(m - 1, 0)
-    if kind == "cycle":
-        (m,) = params
-        return m, m
-    if kind == "complete":
-        (n,) = params
-        return n, n * (n - 1) // 2
-    if kind == "kbip":
-        a, b = params
-        return a + b, a * b
-    if kind == "cocktail":
-        (r,) = params
-        return 2 * r, 2 * r * (r - 1)
-    if kind == "X":
-        (m,) = params
-        return 4 + 4 * m, 2 + 8 * m
-    if kind == "Gn":
-        (n,) = params
-        # six pair edges, each block joined to both ends of its pairs, and
-        # the four cross edges of each clique pair
-        blocks = 2 * sum(len(s) for s in GN_BLOCK_SETS)
-        return 12 + 5 * n, 6 + blocks * n + 4 * len(GN_CLIQUE_PAIRS)
-    if kind == "Hn":
-        (n,) = params
-        blocks = sum(len(s) for s in HN_BLOCK_SETS)
-        return 6 + 7 * n, len(HN_BASE_EDGES) + blocks * n
-    raise ValueError(f"unknown family kind {kind!r}")
+    _, size, _ = _family(spec)
+    return size(*(max(p, 0) for p in spec.params))
 
 
 def build_family(spec: FamilySpec | str) -> Graph:
@@ -312,21 +309,5 @@ def build_family_with_witness(spec: FamilySpec | str) -> tuple[Graph, VertexSet 
                 f"above the limit of {MAX_PRODUCT_VERTICES}"
             )
     check_row_bytes(size[0], f"family {spec}")
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        return make_path(*params), None
-    if kind == "cycle":
-        return make_cycle(*params), None
-    if kind == "complete":
-        return make_complete(*params), None
-    if kind == "kbip":
-        return make_complete_bipartite(*params), None
-    if kind == "cocktail":
-        return make_cocktail(*params)
-    if kind == "X":
-        return make_X(*params)
-    if kind == "Gn":
-        return make_Gn(*params)
-    if kind == "Hn":
-        return make_Hn(*params)
-    raise ValueError(f"unknown family kind {kind!r}")
+    _, _, build = _family(spec)
+    return build(*spec.params)

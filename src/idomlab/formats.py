@@ -350,6 +350,13 @@ def _certificate_from_payload(payload: Any) -> Certificate:
     if not isinstance(payload["value"], int):
         raise ValueError("certificate values must be integers")
     witness = payload.get("witness")
+    if witness is not None and not (
+        isinstance(witness, list) and all(isinstance(u, int) for u in witness)
+    ):
+        raise ValueError("a certificate witness must be a list of vertex integers")
+    for key, kind in (("invariant", str), ("bound_id", str), ("relation", str), ("threshold", int)):
+        if payload.get(key) is not None and not isinstance(payload[key], kind):
+            raise ValueError(f"certificate field {key!r} must be of type {kind.__name__}")
     return Certificate(
         claim=claim,
         subject=payload["subject"],
@@ -382,22 +389,29 @@ def resolve_subject(subject: dict[str, Any] | str):
     if not isinstance(subject, dict) or len(subject) != 1:
         raise ValueError(f"malformed certificate subject: {subject!r}")
     key, value = next(iter(subject.items()))
+    if key == "product":
+        return direct_product(*_factor_graphs(value))
+    if key not in ("family", "graph6", "edge_list"):
+        raise ValueError(f"unknown certificate subject kind {key!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"a {key!r} subject must be a string, not {value!r}")
     if key == "family":
         return build_family(value)
     if key == "graph6":
         return graph6_decode(value)
-    if key == "edge_list":
-        return parse_edge_list(value)
-    if key == "product":
-        if not isinstance(value, list) or len(value) != 2:
-            raise ValueError("product subjects take exactly two factor subjects")
-        return direct_product(_subject_graph(value[0]), _subject_graph(value[1]))
-    raise ValueError(f"unknown certificate subject kind {key!r}")
+    return parse_edge_list(value)
 
 
 def _subject_graph(subject) -> Graph:
     resolved = resolve_subject(subject)
     return resolved.graph if hasattr(resolved, "graph") else resolved
+
+
+def _factor_graphs(value: Any) -> tuple[Graph, Graph]:
+    """The two factor graphs a product subject's list describes."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("product subjects take exactly two factor subjects")
+    return _subject_graph(value[0]), _subject_graph(value[1])
 
 
 def verify_certificate(
@@ -457,8 +471,7 @@ def verify_certificate(
         subject = cert.subject
         if not (isinstance(subject, dict) and "product" in subject):
             raise ValueError("formula certificates need a product subject")
-        left = _subject_graph(subject["product"][0])
-        right = _subject_graph(subject["product"][1])
+        left, right = _factor_graphs(subject["product"])
         try:
             rhs = bound_rhs(cert.bound_id, left, right, limits)
         except (CapExceeded, BudgetExhausted):

@@ -252,16 +252,25 @@ def _cover_leaves(
 
 
 # ---------------------------------------------------------------------------
-# The frontier dynamic program: the same covers, one vertex at a time
+# The frontier plan, and the frontier DP: the same covers, one vertex at a time
 # ---------------------------------------------------------------------------
 #
-# Vertices are decided in index order.  The frontier is the set of decided
-# vertices that still have an undecided neighbour; a vertex leaves it once its
-# last neighbour is decided, and must be covered by then.  A state is the
-# (chosen, covered) pair of the frontier, kept as bits over frontier slots, so
-# the work per vertex follows the frontier width, not the order.  Each state
-# keeps the best score of the prefixes reaching it.  Prefixes reaching the
-# same state have the same completions, so keeping one per state is exact.
+# Both frontier DPs, this module's and labelling._frontier_min_weight, read
+# one frontier plan.  Vertices are decided in index order.  The frontier is
+# the set of decided vertices that still have an undecided neighbour; a vertex
+# leaves it once its last neighbour is decided.  Each frontier vertex holds a
+# slot below the frontier width, and a DP state keeps a fixed-width field per
+# slot, so the work per vertex follows the width, not the order.  A vertex
+# takes the slot of a neighbour that leaves as it is decided, if there is one,
+# or else the lowest free slot, so long runs of vertices see the same slots; a
+# vertex with no later neighbour takes none.  ``_frontier_plan`` works the
+# slots out once per solve, and neither DP assigns a slot itself.
+#
+# In the cover DP a state is the (chosen, covered) pair of the frontier, kept
+# as bits over frontier slots, and a vertex must be covered by the time it
+# leaves.  Each state keeps the best score of the prefixes reaching it.
+# Prefixes reaching the same state have the same completions, so keeping one
+# per state is exact.
 #
 # The score is ``size << n`` plus bit ``n - 1 - u`` for every decided vertex
 # ``u`` left out, so the least score has the fewest members and, among those,
@@ -299,78 +308,104 @@ def _frontier_width(last: list[int]) -> int:
     return width
 
 
+def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
+    """Yield the frontier's slots, one step per vertex in index order.
+
+    ``rows`` are symmetric adjacency rows and ``last`` their
+    ``_last_neighbours``.  Step ``v`` is ``(near, leaving, own)``: ``near``
+    pairs each frontier neighbour of ``v`` with its slot, ``leaving`` holds
+    the slots of the frontier vertices whose last neighbour is ``v``, both in
+    index order, and ``own`` is the slot ``v`` takes, or -1 when no later
+    vertex neighbours it.  Every slot is below ``_frontier_width(last)``.
+    The steps are made as the DP reads them, so a long graph's plan is never
+    held whole; held whole, that of ``path:3000`` takes about 0.8 MB.
+    """
+    slot = [0] * len(rows)
+    taken = 0  # a bit for each slot held by a frontier vertex
+    frontier: list[int] = []
+    for v, row in enumerate(rows):
+        near = []
+        leaving = []
+        stay = []
+        for u in frontier:
+            if (row >> u) & 1:
+                near.append((u, slot[u]))
+                if last[u] == v:  # a leaving vertex is a neighbour of v
+                    leaving.append(slot[u])
+                    taken ^= 1 << slot[u]
+                    continue
+            stay.append(u)
+        frontier = stay
+        own = -1
+        if last[v] != v:
+            own = leaving[0] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            slot[v] = own
+            taken |= 1 << own
+            frontier.append(v)
+        yield tuple(near), tuple(leaving), own
+
+
 def _frontier_min_cover(
     deadline: _Deadline,
     coverage: tuple[int, ...],
     chooser: tuple[int, ...],
     conflict: tuple[int, ...],
-    last: list[int],
+    plan: Iterator[tuple],
     width: int,
 ) -> tuple[int, int]:
     """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
-    Takes the cover kernel's rows, which must be symmetric and admit a cover.
-    ``last`` is ``_last_neighbours`` of the rows' union, which for ``i``,
-    ``gamma`` and ``gamma_t`` is that of the graph's adjacency rows, and
-    ``width`` its ``_frontier_width``.
+    Takes the cover kernel's rows, which must be symmetric and admit a
+    cover, and the ``_frontier_plan`` of the rows' union, whose slots are
+    below ``width``; for ``i``, ``gamma`` and ``gamma_t`` that union reaches
+    exactly as far as the graph's adjacency rows, so the plan of those rows
+    serves.
     """
     n = len(coverage)
-    shift = width + 1  # a vertex takes its slot before any leaves
-    slot = [0] * n
-    used = 0
-    frontier: list[int] = []
-    low = (1 << shift) - 1
+    low = (1 << width) - 1
     unit = 1 << n
-    states = {0: 0}  # chosen | covered << shift -> best score
-    for v in range(n):
+    states = {0: 0}  # chosen | covered << width -> best score
+    for v, (near, leaving, own) in enumerate(plan):
         deadline.tick()
-        own = ~used & (used + 1)
-        used |= own
-        slot[v] = own.bit_length() - 1
-        cover = clash = 0
-        by = own if (chooser[v] >> v) & 1 else 0
-        for u in frontier:
-            bit = 1 << slot[u]
+        cover = by = clash = done = 0
+        for u, s in near:
             if (coverage[v] >> u) & 1:
-                cover |= bit
+                cover |= 1 << s
             if (chooser[v] >> u) & 1:
-                by |= bit
+                by |= 1 << s
             if (conflict[v] >> u) & 1:
-                clash |= bit
-        frontier.append(v)
-        done = 0
-        for u in frontier:
-            if last[u] == v:
-                done |= 1 << slot[u]
-        frontier = [u for u in frontier if last[u] != v]
-        used &= ~done
-        need = done << shift
+                clash |= 1 << s
+        for s in leaving:
+            done |= 1 << s
+        need = done << width
         keep = ~(done | need)
-        pick = own | cover << shift
-        own_covered = own << shift
+        pick = cover << width
+        stays = own >= 0  # else v leaves at once and must be covered now
+        own_chosen = 1 << own if stays else 0
+        own_covered = own_chosen << width
+        by_self = (chooser[v] >> v) & 1
         out_mark = 1 << (n - 1 - v)
         after: dict[int, int] = {}
         for state, score in states.items():
             chosen = state & low
-            nxt = state | own_covered if by & chosen else state
-            if nxt & need == need:
-                nxt &= keep
+            met = by & chosen
+            if state & need == need and (met or stays):
+                nxt = state & keep | (own_covered if met else 0)
                 old = after.get(nxt)
                 if old is None or score | out_mark < old:
                     after[nxt] = score | out_mark
-            if clash & chosen == 0:
-                nxt = state | pick | (own_covered if by & (chosen | own) else 0)
+            if clash & chosen == 0 and (met or by_self or stays):
+                nxt = state | pick
                 if nxt & need == need:
-                    nxt &= keep
+                    nxt = nxt & keep | own_chosen | (own_covered if met or by_self else 0)
                     old = after.get(nxt)
                     if old is None or score + unit < old:
                         after[nxt] = score + unit
         states = after
     score = states[0]
-    left_out = score & ((1 << n) - 1)
     members = 0
     for u in range(n):
-        if not (left_out >> (n - 1 - u)) & 1:
+        if not (score >> (n - 1 - u)) & 1:  # u was not left out
             members |= 1 << u
     return score >> n, members
 
@@ -396,7 +431,8 @@ def _solve_min_cover(
         last = _last_neighbours(graph.adj)
         width = _frontier_width(last)
         if width <= _DP_MAX_WIDTH:
-            size, bits = _frontier_min_cover(deadline, coverage, chooser, conflict, last, width)
+            plan = _frontier_plan(graph.adj, last)
+            size, bits = _frontier_min_cover(deadline, coverage, chooser, conflict, plan, width)
             return size, bits, "frontier-dp"
     bound = [upper]
     witness = 0

@@ -21,13 +21,14 @@ the constructed set, and its minimum over legal labellings equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import Graph, VertexSet, _bits_of
 from .invariants import (
     DEFAULT_LIMITS,
     SolverLimits,
     _Deadline,
+    _frontier_plan,
     _frontier_width,
     _last_neighbours,
     _require_cap,
@@ -283,12 +284,13 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 #
 # The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
 # vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
-# 1997) on a linear order.  Its frontier is that of the cover kernel's DP in
-# invariants.py: the tagged vertices that still have an untagged neighbour.
-# A state is ``used``, the number of classes opened, plus each frontier
-# vertex's tag and pending need: a class vertex waits for a same-class
-# neighbour (condition 2); a 0 vertex has seen no class yet, or one class
-# ``c`` (condition 4); an [n] vertex needs nothing.  A vertex must need
+# 1997) on a linear order.  It reads the frontier plan that the cover kernel's
+# DP reads (``invariants._frontier_plan``): the frontier is the tagged
+# vertices that still have an untagged neighbour, each in a slot the plan
+# assigns.  A state is ``used``, the number of classes opened, plus each
+# frontier vertex's tag and pending need: a class vertex waits for a
+# same-class neighbour (condition 2); a 0 vertex has seen no class yet, or one
+# class ``c`` (condition 4); an [n] vertex needs nothing.  A vertex must need
 # nothing when it leaves the frontier.  Each state keeps the least score of
 # the prefixes reaching it: the weight, then the prefix's tags as digits.
 # Prefixes reaching one state have the same completions, so the least final
@@ -297,16 +299,14 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # score's digits grow with the order.
 #
 # A state is packed into one int of fixed-width fields of ``b`` bits, ``b``
-# the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field,
-# then for each frontier slot ``s`` its vertex's tag at bit ``b * (1 + 2s)``
-# and its need plus one at bit ``b * (2 + 2s)``, so a met need and a free
-# slot read 0.  A vertex takes the slot of a neighbour that leaves as it is
-# tagged, or else the lowest free slot.  A vertex's moves depend only on
-# ``used`` and the fields of its tagged neighbours' slots, so each distinct
-# such key is worked out once (``_tag_moves``) into the tags the vertex may
-# take, each with the new fields to OR into the rest of the state; vertices
-# that see the same slots share one table, which on a path or a cycle is
-# nearly all of them.
+# the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field, then
+# for each frontier slot ``s`` its vertex's tag at bit ``b * (1 + 2s)`` and
+# its need plus one at bit ``b * (2 + 2s)``, so a met need and a free slot
+# read 0.  A vertex's moves depend only on ``used`` and the fields of its
+# tagged neighbours' slots, so each distinct such key is worked out once
+# (``_tag_moves``) into the tags the vertex may take, each with the new fields
+# to OR into the rest of the state; vertices that see the same slots share one
+# table, which on a path or a cycle is nearly all of them.
 #
 # ``minimize_weight`` takes the DP on graphs of at least ``_DP_MIN_ORDER``
 # vertices whose natural-order frontier width is at most ``_DP_MAX_WIDTH``
@@ -385,46 +385,25 @@ def _tag_moves(
 
 
 def _frontier_min_weight(
-    deadline: _Deadline,
-    adj: tuple[int, ...],
-    n: int,
-    allow_layer_label: bool,
-    last: list[int],
+    deadline: _Deadline, plan: Iterator[tuple], m: int, n: int, allow_layer_label: bool
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by frontier DP.
 
-    ``adj`` must be symmetric, and without the [n] label no vertex may be
-    isolated.  ``last`` is ``_last_neighbours(adj)``.
+    ``plan`` is the ``_frontier_plan`` of the graph's ``m`` adjacency rows,
+    and without the [n] label no vertex may be isolated.
     """
-    m = len(adj)
     special = special_tag(n)
     bits = special.bit_length()  # ``used``, a tag and a need each fit
     field = (1 << bits) - 1
     both = (1 << (2 * bits)) - 1  # a slot's tag and need
     unit = 1 << (bits * m)  # one unit of weight, above every tag digit
     cost = [0] + [unit] * n + [n * unit]
-    slot_of = [0] * m
-    taken = 0  # a bit for each slot held by a frontier vertex
-    frontier: list[int] = []
     # (near, leaving, own) -> {a state's used and near fields -> moves}
     tables: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
     states = {0: 0}  # packed state -> least score
-    for v in range(m):
+    for v, (neighbours, leaving, own) in enumerate(plan):
         deadline.tick()
-        near = tuple(slot_of[u] for u in frontier if (adj[v] >> u) & 1)
-        leaving = tuple(slot_of[u] for u in frontier if last[u] == v)
-        frontier = [u for u in frontier if last[u] != v]
-        for s in leaving:
-            taken &= ~(1 << s)
-        if last[v] == v:
-            own = -1
-        else:
-            # the slot of a leaving neighbour if there is one, so that long
-            # runs of vertices share one table
-            own = leaving[0] if leaving else (~taken & (taken + 1)).bit_length() - 1
-            slot_of[v] = own
-            taken |= 1 << own
-            frontier.append(v)
+        near = tuple([s for _, s in neighbours])
         local = field
         for s in near:
             local |= both << (bits * (1 + 2 * s))
@@ -667,7 +646,9 @@ def minimize_weight(
     deadline = _Deadline(limits.budget_secs)
     last = _last_neighbours(adj)
     if graph.n >= _DP_MIN_ORDER and _frontier_width(last) <= _DP_MAX_WIDTH:
-        tags, value = _frontier_min_weight(deadline, adj, n, allow_layer_label, last)
+        tags, value = _frontier_min_weight(
+            deadline, _frontier_plan(adj, last), graph.n, n, allow_layer_label
+        )
     else:
         tags, value = _search_min_weight(deadline, adj, n, allow_layer_label, last)
     return Labelling(n, tags), value

@@ -244,6 +244,28 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", str(bundle))
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"witness": ["a"]},
+            {"witness": 5},
+            {"witness": [1.5]},
+            {"invariant": ["i"]},
+            {"subject": {"family": 5}},
+            {"subject": {"product": [{"family": "path:2"}, {"graph6": 7}]}},
+        ],
+        ids=["witness-text", "witness-int", "witness-float", "invariant-list", "family-int",
+             "product-graph6-int"],
+    )
+    def test_mistyped_field_is_usage_error(self, capsys, tmp_path, fields):
+        payload = {"claim": "invariant_value", "invariant": "i", "subject": {"family": "path:4"},
+                   "value": 2, "witness": [0, 3]}
+        bundle = tmp_path / "mistyped.jsonl"
+        bundle.write_text(json.dumps({**payload, **fields}) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(bundle))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_deeply_nested_bundle_is_usage_error(self, capsys, tmp_path):
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 100000 + "]" * 100000)
@@ -471,6 +493,43 @@ class TestSearchEdgePaths:
         marker = json.loads(out.strip().splitlines()[-1])
         assert marker["partial_scan"] is True
         assert marker["pairs_done"] < marker["pairs_total"]
+
+
+    @pytest.mark.parametrize(
+        "bound, lines, done",
+        [
+            # the conjecture relation reports a product above the cap as unchecked
+            ("factor-product-lower", ["path:3 path:3", "X:4 cocktail:5"], 1),
+            ("factor-product-lower", ["X:4 cocktail:5", "path:3 path:3"], 0),
+            # a table bound raises on it
+            ("clawfree-factor-lower", ["path:3 path:3", "cycle:7 cycle:9"], 1),
+        ],
+        ids=["conjecture-last", "conjecture-first", "table-last"],
+    )
+    def test_pair_above_the_cap_is_not_done(self, capsys, tmp_path, bound, lines, done):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "search", "--pairs-file", str(manifest), "--bound", bound)
+        assert code == 3
+        marker = json.loads(out.strip().splitlines()[-1])
+        assert marker == {"pairs_done": done, "pairs_total": 2, "partial_scan": True}
+        assert f"scanned {done}/2 pairs" in err
+
+    def test_budget_bounds_each_solve(self, capsys, tmp_path):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("cycle:11 cycle:13\n")  # 143 vertices: no answer within seconds
+        started = perf_counter()
+        code, out, _ = run_cli(
+            capsys,
+            "search",
+            "--pairs-file", str(manifest),
+            "--bound", "factor-product-lower",
+            "--cap", "300",
+            "--budget-secs", "0.2",
+        )
+        assert perf_counter() - started < 5
+        assert code == 3
+        assert json.loads(out.strip()) == {"pairs_done": 0, "pairs_total": 1, "partial_scan": True}
 
 
 class TestInputEdgePaths:

@@ -37,6 +37,7 @@ from idomlab.invariants import (
     _Deadline,
     _clique_cover_bound,
     _frontier_min_cover,
+    _frontier_plan,
     _frontier_width,
     _last_neighbours,
 )
@@ -219,9 +220,10 @@ def cover_rows(g, name):
 
 
 def frontier_dp(g, name):
-    """The frontier DP on the cover kernel's rows, with the frontier the router reads."""
+    """The frontier DP on the cover kernel's rows, over the plan the router builds."""
     last = _last_neighbours(g.adj)
-    return _frontier_min_cover(_Deadline(None), *cover_rows(g, name), last, _frontier_width(last))
+    plan = _frontier_plan(g.adj, last)
+    return _frontier_min_cover(_Deadline(None), *cover_rows(g, name), plan, _frontier_width(last))
 
 
 def defined(g, name):
@@ -279,6 +281,35 @@ def graphs_up_to_order_seven():
     return tuple(graphs)
 
 
+class TestFrontierPlan:
+    def test_slots_hold_the_frontier(self):
+        """At every step the plan names the frontier's neighbours, in slots below the width."""
+        graphs = list(graphs_up_to_order_seven())
+        graphs += [
+            direct_product(make_path(m), make_complete(n)).graph
+            for m in range(1, 13)
+            for n in (1, 2, 3, 4)
+        ]
+        graphs += [make_cycle(m) for m in range(3, 40)]
+        for g in graphs:
+            last = _last_neighbours(g.adj)
+            width = _frontier_width(last)
+            plan = list(_frontier_plan(g.adj, last))
+            assert len(plan) == g.n
+            slot = {}
+            for v, (near, leaving, own) in enumerate(plan):
+                frontier = [u for u in range(v) if g.adj[u] >> v]  # a neighbour from v on
+                assert near == tuple((u, slot[u]) for u in frontier if (g.adj[v] >> u) & 1)
+                assert leaving == tuple(slot[u] for u in frontier if not g.adj[u] >> (v + 1))
+                assert (own == -1) == (not g.adj[v] >> (v + 1))
+                if own >= 0:
+                    slot[v] = own
+                held = [slot[u] for u in range(v + 1) if g.adj[u] >> (v + 1)]
+                assert len(set(held)) == len(held)
+                assert all(0 <= s < width for s in held)
+                assert all(0 <= s < width for _, s in near)
+
+
 class TestFrontierDP:
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_router_frontier_is_the_rows_frontier(self, name):
@@ -310,6 +341,15 @@ class TestFrontierDP:
             result = invariant(g, name, limits)
             assert result.method == "frontier-dp"
             assert (result.value, result.witness.bits) == forced_search(g, name)
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_frontiers_of_width_zero_one_and_two(self, name):
+        # no slot at all, one slot for a star's hub, two for kbip:2,28's hubs
+        for g in (build_graph(30, []), build_family("kbip:1,29"), build_family("kbip:2,28")):
+            if defined(g, name):
+                result = invariant(g, name)
+                assert result.method == "frontier-dp"
+                assert (result.value, result.witness.bits) == forced_search(g, name)
 
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_brute_force_least_optimum(self, name):
