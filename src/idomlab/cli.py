@@ -724,10 +724,12 @@ def _imap_tasks(task, payloads: list, workers: int) -> Iterable:
             yield task(payload)
         return
     # imported here so that single-worker runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task, payloads, chunksize=8)
+    # Leaving the block terminates the workers, so a consumer that stops early
+    # (a search past its budget) does not wait for the pairs still queued.
+    with get_context("spawn").Pool(workers) as pool:
+        yield from pool.imap(task, payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from .bounds import bound_rhs
+from .families import build_family
 from .graph import Graph, VertexSet, build_graph
 from .invariants import (
     DEFAULT_LIMITS,
@@ -25,6 +26,7 @@ from .invariants import (
     is_maximal_independent,
 )
 from .labelling import Labelling, check_legal, weight
+from .products import check_row_bytes, direct_product
 
 # ---------------------------------------------------------------------------
 # Edge-list text: first line "n m", then m lines "u v"; '#' starts a comment
@@ -49,6 +51,7 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: header counts must be nonnegative")
+            check_row_bytes(a, "edge list")
             header = (a, b)
         else:
             edges.append((a, b))
@@ -120,6 +123,7 @@ def graph6_decode(text: str) -> Graph:
             raise ValueError("graph6 orders above 258047 are not supported")
         n = (values[1] << 12) | (values[2] << 6) | values[3]
         body = values[4:]
+    check_row_bytes(n, "graph6 graph")
     pair_count = n * (n - 1) // 2
     expected = (pair_count + 5) // 6
     if len(body) != expected:
@@ -254,24 +258,28 @@ def print_pattern(labelling: Labelling) -> str:
 # Certificates
 # ---------------------------------------------------------------------------
 
-CLAIM_KINDS = (
-    "invariant_value",
-    "upper_bound_witness",
-    "lower_bound_formula",
-    "legality",
-    "refutation",
-)
-
 # The conjecture relation a refutation names, as its id in the bounds table.
 _REFUTED_BOUNDS = {
     "product_of_factors": "factor-product-lower",
     "min_of_factors": "factor-min-lower",
 }
 
+# The type a certificate field must have where the reader finds it set; only
+# ``value`` may not be null.  Booleans are refused where ints are asked for.
+_FIELD_TYPES = {"value": int, "invariant": str, "bound_id": str, "relation": str, "threshold": int}
+
+# Product subjects nest at most this deep.  A product of factors of two or
+# more vertices each passes the product size guard within 17 levels.
+MAX_SUBJECT_DEPTH = 32
+
 
 @dataclass(frozen=True)
 class Certificate:
-    """A machine-checkable claim about a graph or a product of graphs."""
+    """A machine-checkable claim about a graph or a product of graphs.
+
+    The fields that default to ``None`` are optional; they are left out of
+    the certificate's JSON while unset, and every other field is written.
+    """
 
     claim: str
     subject: dict[str, Any]
@@ -287,27 +295,11 @@ class Certificate:
     paper_anchor: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "claim": self.claim,
-            "subject": self.subject,
-            "value": self.value,
-            "verdict": self.verdict,
-            "paper_anchor": self.paper_anchor,
-        }
-        if self.invariant is not None:
-            payload["invariant"] = self.invariant
-        if self.witness is not None:
-            payload["witness"] = list(self.witness)
-        if self.bound_id is not None:
-            payload["bound_id"] = self.bound_id
-        if self.relation is not None:
-            payload["relation"] = self.relation
-        if self.threshold is not None:
-            payload["threshold"] = self.threshold
-        if self.labelling is not None:
-            payload["labelling"] = self.labelling
-        if self.query is not None:
-            payload["query"] = self.query
+        payload: dict[str, Any] = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None or field.default is not None:
+                payload[field.name] = list(value) if field.name == "witness" else value
         return payload
 
 
@@ -343,34 +335,24 @@ def _certificate_from_payload(payload: Any) -> Certificate:
     if not isinstance(payload, dict):
         raise ValueError("certificate JSON must be an object")
     claim = payload.get("claim")
-    if claim not in CLAIM_KINDS:
+    if claim not in _CLAIM_CHECKS:
         raise ValueError(f"unknown certificate claim {claim!r}")
     if "subject" not in payload or "value" not in payload:
         raise ValueError("certificate must carry 'subject' and 'value'")
-    if not isinstance(payload["value"], int):
-        raise ValueError("certificate values must be integers")
-    witness = payload.get("witness")
-    if witness is not None and not (
-        isinstance(witness, list) and all(isinstance(u, int) for u in witness)
-    ):
-        raise ValueError("a certificate witness must be a list of vertex integers")
-    for key, kind in (("invariant", str), ("bound_id", str), ("relation", str), ("threshold", int)):
-        if payload.get(key) is not None and not isinstance(payload[key], kind):
+    for key, kind in _FIELD_TYPES.items():
+        item = payload.get(key)
+        if type(item) is not kind and (item is not None or key == "value"):
             raise ValueError(f"certificate field {key!r} must be of type {kind.__name__}")
-    return Certificate(
-        claim=claim,
-        subject=payload["subject"],
-        value=payload["value"],
-        verdict=payload.get("verdict", "unchecked"),
-        invariant=payload.get("invariant"),
-        witness=tuple(witness) if witness is not None else None,
-        bound_id=payload.get("bound_id"),
-        relation=payload.get("relation"),
-        threshold=payload.get("threshold"),
-        labelling=payload.get("labelling"),
-        query=payload.get("query"),
-        paper_anchor=payload.get("paper_anchor", ""),
-    )
+    given = {f.name: payload[f.name] for f in fields(Certificate) if f.name in payload}
+    witness = given.get("witness")
+    if witness is not None:
+        if not (isinstance(witness, list) and all(type(u) is int for u in witness)):
+            raise ValueError("a certificate witness must be a list of vertex integers")
+        given["witness"] = tuple(witness)
+    return Certificate(**given)
+
+
+_SUBJECT_PARSERS = {"family": build_family, "graph6": graph6_decode, "edge_list": parse_edge_list}
 
 
 def resolve_subject(subject: dict[str, Any] | str):
@@ -379,11 +361,9 @@ def resolve_subject(subject: dict[str, Any] | str):
     Subjects are ``{"family": spec}``, ``{"graph6": text}``,
     ``{"edge_list": text}``, or ``{"product": [subject, subject]}``; a bare
     string is shorthand for a family spec.  Products resolve to
-    :class:`~idomlab.products.ProductGraph`.
+    :class:`~idomlab.products.ProductGraph`, and may nest at most
+    ``MAX_SUBJECT_DEPTH`` deep.
     """
-    from .families import build_family
-    from .products import direct_product
-
     if isinstance(subject, str):
         return build_family(subject)
     if not isinstance(subject, dict) or len(subject) != 1:
@@ -391,15 +371,11 @@ def resolve_subject(subject: dict[str, Any] | str):
     key, value = next(iter(subject.items()))
     if key == "product":
         return direct_product(*_factor_graphs(value))
-    if key not in ("family", "graph6", "edge_list"):
+    if key not in _SUBJECT_PARSERS:
         raise ValueError(f"unknown certificate subject kind {key!r}")
     if not isinstance(value, str):
         raise ValueError(f"a {key!r} subject must be a string, not {value!r}")
-    if key == "family":
-        return build_family(value)
-    if key == "graph6":
-        return graph6_decode(value)
-    return parse_edge_list(value)
+    return _SUBJECT_PARSERS[key](value)
 
 
 def _subject_graph(subject) -> Graph:
@@ -411,7 +387,97 @@ def _factor_graphs(value: Any) -> tuple[Graph, Graph]:
     """The two factor graphs a product subject's list describes."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError("product subjects take exactly two factor subjects")
+    # Walk the nesting before resolving anything, so a deep subject is
+    # refused here rather than by the interpreter's recursion limit.
+    level = value
+    for _ in range(MAX_SUBJECT_DEPTH):
+        level = [
+            factor
+            for item in level
+            if isinstance(item, dict) and isinstance(item.get("product"), list)
+            for factor in item["product"]
+        ]
+    if level:
+        raise ValueError(f"product subjects nest more than {MAX_SUBJECT_DEPTH} deep")
     return _subject_graph(value[0]), _subject_graph(value[1])
+
+
+def _product_factors(cert: Certificate) -> tuple[Graph, Graph]:
+    """The factors of a claim's subject, which must be a product and nothing else."""
+    subject = cert.subject
+    if not (isinstance(subject, dict) and subject.keys() == {"product"}):
+        # "formula" or "refutation"
+        raise ValueError(f"{cert.claim.rpartition('_')[2]} certificates need a product subject")
+    return _factor_graphs(subject["product"])
+
+
+def _witness_holds(graph: Graph, witness: tuple[int, ...], predicate, value: int) -> bool:
+    """Whether ``witness`` names ``value`` vertices of ``graph`` that pass ``predicate``."""
+    try:
+        members = VertexSet.from_vertices(graph.n, witness)
+    except ValueError:
+        return False
+    return predicate(graph, members) and len(members) == value
+
+
+# Each check below returns True (the claim holds), False (it does not) or
+# None (undecided); a solve above the cap or past the budget is undecided too.
+
+
+def _check_witness_claim(cert: Certificate, limits: SolverLimits) -> Optional[bool]:
+    if cert.invariant not in PREDICATES:
+        raise ValueError(f"certificate names unknown invariant {cert.invariant!r}")
+    graph = _subject_graph(cert.subject)
+    if cert.witness is None:
+        return None
+    if not _witness_holds(graph, cert.witness, PREDICATES[cert.invariant], cert.value):
+        return False
+    if cert.claim == "upper_bound_witness":
+        return True
+    # exact-value claims additionally re-solve when the cap allows
+    return invariant(graph, cert.invariant, limits).value == cert.value
+
+
+def _check_legality(cert: Certificate, limits: SolverLimits) -> bool:
+    graph = _subject_graph(cert.subject)
+    if cert.labelling is None:
+        return False
+    try:
+        lab = Labelling.from_strings(int(cert.labelling["n"]), cert.labelling["labels"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed labelling payload: {exc}") from None
+    return lab.size == graph.n and check_legal(graph, lab).legal and weight(lab) == cert.value
+
+
+def _check_formula(cert: Certificate, limits: SolverLimits) -> bool:
+    if cert.bound_id is None:
+        return False
+    return bound_rhs(cert.bound_id, *_product_factors(cert), limits) == cert.value
+
+
+def _check_refutation(cert: Certificate, limits: SolverLimits) -> bool:
+    if cert.witness is None or cert.threshold is None or cert.relation is None:
+        return False
+    left, right = _product_factors(cert)
+    graph = direct_product(left, right).graph
+    if cert.value >= cert.threshold or not _witness_holds(
+        graph, cert.witness, is_maximal_independent, cert.value
+    ):
+        return False
+    if cert.relation not in _REFUTED_BOUNDS:
+        raise ValueError(f"unknown refutation relation {cert.relation!r}")
+    return bound_rhs(_REFUTED_BOUNDS[cert.relation], left, right, limits) == cert.threshold
+
+
+# The claim kinds a certificate may make, each with its check.
+_CLAIM_CHECKS = {
+    "invariant_value": _check_witness_claim,
+    "upper_bound_witness": _check_witness_claim,
+    "lower_bound_formula": _check_formula,
+    "legality": _check_legality,
+    "refutation": _check_refutation,
+}
+_VERDICTS = {True: "verified", False: "refuted", None: "unchecked"}
 
 
 def verify_certificate(
@@ -419,87 +485,34 @@ def verify_certificate(
 ) -> str:
     """Re-check a claim from the certificate contents alone.
 
-    Returns ``"verified"``, ``"refuted"``, or ``"unchecked"`` (the latter
-    when full confirmation would need an exact solve above the cap or one
-    that runs out of its budget).
-    Witness checks are polynomial and run at any size.
+    Returns ``"verified"``, ``"refuted"``, or ``"unchecked"``.  By claim kind:
+
+    - ``invariant_value`` and ``upper_bound_witness``: the witness must be
+      vertices of the subject that pass the invariant's predicate, ``value``
+      of them; without a witness the claim is unchecked.  An exact-value claim
+      is then re-solved, and is unchecked where that solve would exceed the
+      cap or run out of its budget.  Witness checks are polynomial and run at
+      any size.
+    - ``legality``: the labelling must be legal on the subject, of its order,
+      and of weight ``value``.
+    - ``lower_bound_formula``: the bound's right side on the product's factors
+      must equal ``value``; unchecked where it needs a solve above the cap.
+    - ``refutation``: the witness must be a maximal independent set of the
+      product of ``value`` vertices, below ``threshold``, and ``threshold``
+      must be the relation's right side on the factors (unchecked where that
+      needs a solve above the cap).
+
+    A required field left unset refutes the claim.  Raises ``ValueError`` for
+    an unknown claim kind, invariant, bound id or relation, a malformed
+    labelling or subject, and a formula or refutation whose subject is not a
+    product.
     """
     if isinstance(certificate, str):
         certificate = read_certificate(certificate)
-    cert = certificate
-
-    if cert.claim in ("invariant_value", "upper_bound_witness"):
-        if cert.invariant not in PREDICATES:
-            raise ValueError(f"certificate names unknown invariant {cert.invariant!r}")
-        graph = _subject_graph(cert.subject)
-        if cert.witness is None:
-            return "unchecked"
-        try:
-            witness = VertexSet.from_vertices(graph.n, cert.witness)
-        except ValueError:
-            return "refuted"
-        if not PREDICATES[cert.invariant](graph, witness):
-            return "refuted"
-        if len(witness) != cert.value:
-            return "refuted"
-        if cert.claim == "upper_bound_witness":
-            return "verified"
-        # exact-value claims additionally re-solve when the cap allows
-        try:
-            result = invariant(graph, cert.invariant, limits)
-        except (CapExceeded, BudgetExhausted):
-            return "unchecked"
-        return "verified" if result.value == cert.value else "refuted"
-
-    if cert.claim == "legality":
-        graph = _subject_graph(cert.subject)
-        if cert.labelling is None:
-            return "refuted"
-        try:
-            lab = Labelling.from_strings(int(cert.labelling["n"]), cert.labelling["labels"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed labelling payload: {exc}") from None
-        if lab.size != graph.n:
-            return "refuted"
-        if not check_legal(graph, lab).legal:
-            return "refuted"
-        return "verified" if weight(lab) == cert.value else "refuted"
-
-    if cert.claim == "lower_bound_formula":
-        if cert.bound_id is None:
-            return "refuted"
-        subject = cert.subject
-        if not (isinstance(subject, dict) and "product" in subject):
-            raise ValueError("formula certificates need a product subject")
-        left, right = _factor_graphs(subject["product"])
-        try:
-            rhs = bound_rhs(cert.bound_id, left, right, limits)
-        except (CapExceeded, BudgetExhausted):
-            return "unchecked"
-        return "verified" if rhs == cert.value else "refuted"
-
-    if cert.claim == "refutation":
-        if cert.witness is None or cert.threshold is None or cert.relation is None:
-            return "refuted"
-        subject = cert.subject
-        if not (isinstance(subject, dict) and "product" in subject):
-            raise ValueError("refutation certificates need a product subject")
-        product = resolve_subject(subject)
-        try:
-            witness = VertexSet.from_vertices(product.graph.n, cert.witness)
-        except ValueError:
-            return "refuted"
-        if not is_maximal_independent(product.graph, witness):
-            return "refuted"
-        if len(witness) != cert.value or cert.value >= cert.threshold:
-            return "refuted"
-        if cert.relation not in _REFUTED_BOUNDS:
-            raise ValueError(f"unknown refutation relation {cert.relation!r}")
-        bound_id = _REFUTED_BOUNDS[cert.relation]
-        try:
-            expected = bound_rhs(bound_id, product.left, product.right, limits)
-        except (CapExceeded, BudgetExhausted):
-            return "unchecked"
-        return "verified" if expected == cert.threshold else "refuted"
-
-    raise ValueError(f"unknown certificate claim {cert.claim!r}")
+    check = _CLAIM_CHECKS.get(certificate.claim)
+    if check is None:
+        raise ValueError(f"unknown certificate claim {certificate.claim!r}")
+    try:
+        return _VERDICTS[check(certificate, limits)]
+    except (CapExceeded, BudgetExhausted):
+        return "unchecked"

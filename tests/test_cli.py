@@ -457,7 +457,52 @@ class TestDeterminism:
         assert code == 0 and "status=ok" in out
 
 
+class TestMalformedBundles:
+    # each file holds one certificate that the reader or its subject refuses
+    @pytest.mark.parametrize("name", ["deep_product", "bool_value", "edge_list_header"])
+    def test_bundle_is_usage_error(self, capsys, name):
+        path = os.path.join(ROOT, "tests", "bundles", f"{name}.jsonl")
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_shallow_product_still_verifies(self, capsys, tmp_path):
+        subject = {"product": [{"family": "path:1"}, {"product": [{"family": "path:1"}] * 2}]}
+        cert = Certificate(
+            claim="upper_bound_witness", invariant="i", subject=subject, value=1, witness=(0,)
+        )
+        bundle = tmp_path / "shallow.jsonl"
+        bundle.write_text(write_certificate(cert) + "\n")
+        code, out, _ = run_cli(capsys, "verify", str(bundle))
+        assert code == 0 and json.loads(out)["verdict"] == "verified"
+
+
 class TestSearchEdgePaths:
+    def test_worker_pool_stops_with_the_budget(self, capsys, tmp_path):
+        corpus = tmp_path / "cycles.g6"
+        corpus.write_text(
+            "".join(graph6_encode(build_family(f"cycle:{m}")) + "\n" for m in range(11, 19))
+        )
+        outputs = []
+        for workers in ("1", "2"):
+            started = perf_counter()
+            code, out, _ = run_cli(
+                capsys,
+                "search",
+                "--graph-file", str(corpus),
+                "--format", "graph6",
+                "--bound", "factor-product-lower",
+                "--cap", "400",
+                "--budget-secs", "0.3",
+                "--workers", workers,
+            )
+            # the 36 pairs' solves would take seconds: the pool must not wait for them
+            assert perf_counter() - started < 2
+            assert code == 3
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_worker_pool_matches_single_worker(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"
         lines = ["A_", "Bw", "BW", "Cr", "C~"]

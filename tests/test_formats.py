@@ -353,3 +353,242 @@ def _thm12_subject():
 def test_empty_pattern_round_trip():
     lab = Labelling(3, ())
     assert parse_pattern(print_pattern(lab), 3, 0) == lab
+
+
+
+# Every outcome each claim kind can reach: a verdict, or the ValueError (by
+# message) that a malformed claim raises.  Each case changes one kind's good
+# claim; a field set to None is left out.  Where a claim is wrong in two ways,
+# some cases pin which check comes first.
+TIGHT = SolverLimits(vertex_cap=2)
+_PATH3 = {"family": "path:3"}
+_GOOD_CLAIMS = {
+    "invariant_value": dict(invariant="i", subject=_PATH3, value=1, witness=(1,)),
+    "upper_bound_witness": dict(invariant="i", subject=_PATH3, value=1, witness=(1,)),
+    "lower_bound_formula": dict(
+        bound_id="packing-total-lower",
+        subject={"product": [{"family": "cycle:9"}, {"family": "complete:3"}]},
+        value=6,
+    ),
+    "legality": dict(
+        subject={"family": "cycle:16"},
+        value=11,
+        labelling={"n": 3, "labels": ["1", "1", "0", "2", "2", "0"] * 2 + ["3", "3", "3", "0"]},
+    ),
+    "refutation": dict(
+        relation="product_of_factors",
+        subject={"product": [{"family": "X:3"}, {"family": "cocktail:3"}]},
+        value=8,
+        witness=(0, 1, 6, 7, 14, 15, 20, 21),
+        threshold=10,
+    ),
+}
+VERIFY_CASES = [
+    # invariant_value: the witness check, then an exact re-solve under the cap
+    ("value-verified", "invariant_value", {}, WIDE, "verified"),
+    ("value-witness-out-of-range", "invariant_value", {"witness": (9,)}, WIDE, "refuted"),
+    ("value-witness-not-maximal", "invariant_value", {"witness": (0,)}, WIDE, "refuted"),
+    ("value-witness-wrong-size", "invariant_value", {"value": 2}, WIDE, "refuted"),
+    ("value-not-minimum", "invariant_value", {"value": 2, "witness": (0, 2)}, WIDE, "refuted"),
+    ("value-no-witness", "invariant_value", {"witness": None}, WIDE, "unchecked"),
+    ("value-above-cap", "invariant_value", {}, TIGHT, "unchecked"),
+    ("value-unknown-invariant", "invariant_value", {"invariant": "nope"}, WIDE, "unknown invariant"),
+    ("value-no-invariant", "invariant_value", {"invariant": None}, WIDE, "unknown invariant"),
+    (
+        "value-bad-subject-before-no-witness",
+        "invariant_value",
+        {"subject": {"mystery": 1}, "witness": None},
+        WIDE,
+        "unknown certificate subject",
+    ),
+    # upper_bound_witness: the witness check alone, at any size
+    ("upper-verified", "upper_bound_witness", {}, WIDE, "verified"),
+    ("upper-verified-above-cap", "upper_bound_witness", {"invariant": "gamma"}, TIGHT, "verified"),
+    ("upper-witness-adjacent", "upper_bound_witness", {"value": 2, "witness": (0, 1)}, WIDE, "refuted"),
+    ("upper-witness-wrong-size", "upper_bound_witness", {"value": 2}, WIDE, "refuted"),
+    ("upper-no-witness", "upper_bound_witness", {"witness": None}, WIDE, "unchecked"),
+    ("upper-unknown-invariant", "upper_bound_witness", {"invariant": "nope"}, WIDE, "unknown invariant"),
+    # lower_bound_formula: the bound's right side on the product's factors
+    ("formula-verified", "lower_bound_formula", {}, WIDE, "verified"),
+    ("formula-wrong-value", "lower_bound_formula", {"value": 5}, WIDE, "refuted"),
+    ("formula-no-bound-id", "lower_bound_formula", {"bound_id": None}, WIDE, "refuted"),
+    (
+        "formula-no-bound-id-before-subject",
+        "lower_bound_formula",
+        {"bound_id": None, "subject": _PATH3},
+        WIDE,
+        "refuted",
+    ),
+    ("formula-above-cap", "lower_bound_formula", {}, TIGHT, "unchecked"),
+    ("formula-non-product", "lower_bound_formula", {"subject": _PATH3}, WIDE, "need a product subject"),
+    ("formula-unknown-bound", "lower_bound_formula", {"bound_id": "nope"}, WIDE, "unknown bound id"),
+    (
+        "formula-one-factor",
+        "lower_bound_formula",
+        {"subject": {"product": [_PATH3]}},
+        WIDE,
+        "exactly two factor",
+    ),
+    # legality: a labelling's legality and weight; it never needs a solve
+    ("legality-verified", "legality", {}, WIDE, "verified"),
+    ("legality-wrong-weight", "legality", {"value": 12}, WIDE, "refuted"),
+    ("legality-no-labelling", "legality", {"labelling": None}, WIDE, "refuted"),
+    ("legality-wrong-size", "legality", {"subject": {"family": "cycle:15"}}, WIDE, "refuted"),
+    (
+        "legality-illegal",
+        "legality",
+        {"subject": {"family": "path:2"}, "value": 0, "labelling": {"n": 3, "labels": ["0", "0"]}},
+        WIDE,
+        "refuted",
+    ),
+    ("legality-malformed", "legality", {"labelling": {"n": 3}}, WIDE, "malformed labelling"),
+    (
+        "legality-bad-subject-before-no-labelling",
+        "legality",
+        {"subject": {"mystery": 1}, "labelling": None},
+        WIDE,
+        "unknown certificate subject",
+    ),
+    # refutation: a product witness below the threshold the relation gives
+    ("refutation-verified", "refutation", {}, WIDE, "verified"),
+    ("refutation-wrong-threshold", "refutation", {"threshold": 9}, WIDE, "refuted"),
+    ("refutation-not-below", "refutation", {"threshold": 8}, WIDE, "refuted"),
+    ("refutation-witness-wrong-size", "refutation", {"value": 7}, WIDE, "refuted"),
+    (
+        "refutation-witness-not-maximal",
+        "refutation",
+        {"value": 7, "witness": (0, 1, 6, 7, 14, 15, 20)},
+        WIDE,
+        "refuted",
+    ),
+    ("refutation-witness-out-of-range", "refutation", {"value": 1, "witness": (99,)}, WIDE, "refuted"),
+    ("refutation-no-witness", "refutation", {"witness": None}, WIDE, "refuted"),
+    ("refutation-no-threshold", "refutation", {"threshold": None}, WIDE, "refuted"),
+    ("refutation-no-relation", "refutation", {"relation": None}, WIDE, "refuted"),
+    (
+        "refutation-missing-field-before-subject",
+        "refutation",
+        {"witness": None, "subject": _PATH3},
+        WIDE,
+        "refuted",
+    ),
+    ("refutation-above-cap", "refutation", {}, TIGHT, "unchecked"),
+    ("refutation-min-relation", "refutation", {"relation": "min_of_factors"}, WIDE, "refuted"),
+    (
+        "refutation-non-product",
+        "refutation",
+        {"subject": _PATH3, "value": 1, "witness": (1,)},
+        WIDE,
+        "need a product subject",
+    ),
+    ("refutation-unknown-relation", "refutation", {"relation": "nope"}, WIDE, "unknown refutation relation"),
+    (
+        "refutation-bad-witness-before-relation",
+        "refutation",
+        {"relation": "nope", "witness": (99,)},
+        WIDE,
+        "refuted",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, changes, limits, outcome",
+    [pytest.param(*case[1:], id=case[0]) for case in VERIFY_CASES],
+)
+def test_verify_outcome_per_claim_kind(claim, changes, limits, outcome):
+    cert = Certificate(claim=claim, **{**_GOOD_CLAIMS[claim], **changes})
+    if outcome in ("verified", "refuted", "unchecked"):
+        assert verify_certificate(cert, limits) == outcome
+        # the same verdict from the certificate's own text
+        assert verify_certificate(write_certificate(cert), limits) == outcome
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            verify_certificate(cert, limits)
+
+
+def test_verify_unknown_claim_kind():
+    # a Certificate built directly can name a kind the reader would refuse
+    cert = Certificate(claim="nonsense", subject=_PATH3, value=1)
+    with pytest.raises(ValueError, match="unknown certificate claim"):
+        verify_certificate(cert, WIDE)
+
+
+def _nested_product(depth):
+    subject = {"family": "path:2"}
+    for _ in range(depth):
+        subject = {"product": [{"family": "path:1"}, subject]}
+    return subject
+
+
+def test_product_nesting_limit():
+    from idomlab.formats import MAX_SUBJECT_DEPTH
+
+    assert resolve_subject(_nested_product(MAX_SUBJECT_DEPTH)).graph.n == 2
+    for depth in (MAX_SUBJECT_DEPTH + 1, 450):
+        with pytest.raises(ValueError, match="nest more than"):
+            resolve_subject(_nested_product(depth))
+    # the limit also holds below the top of a subject, and for formula claims
+    inner = {"product": [_nested_product(MAX_SUBJECT_DEPTH), {"family": "path:1"}]}
+    with pytest.raises(ValueError, match="nest more than"):
+        resolve_subject(inner)
+    cert = Certificate(
+        claim="lower_bound_formula", bound_id="factor-product-lower", subject=inner, value=1
+    )
+    with pytest.raises(ValueError, match="nest more than"):
+        verify_certificate(cert, WIDE)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"value": True}, {"value": None}, {"witness": [True]}, {"threshold": False}],
+    ids=["value-bool", "value-null", "witness-bool", "threshold-bool"],
+)
+def test_booleans_and_null_value_refused(fields):
+    payload = {"claim": "upper_bound_witness", "invariant": "i", "subject": {"family": "path:3"},
+               "value": 1, "witness": [1]}
+    assert verify_certificate(json.dumps(payload), WIDE) == "verified"
+    with pytest.raises(ValueError, match="must be"):
+        read_certificate(json.dumps({**payload, **fields}))
+
+
+def test_unset_optional_fields_are_left_out():
+    cert = Certificate(claim="legality", subject={"family": "path:3"}, value=1)
+    assert cert.to_dict() == {
+        "claim": "legality",
+        "subject": {"family": "path:3"},
+        "value": 1,
+        "verdict": "unchecked",
+        "paper_anchor": "",
+    }
+    assert read_certificate(write_certificate(cert)) == cert
+
+
+@pytest.mark.parametrize("claim", ["lower_bound_formula", "refutation"])
+def test_product_claim_subject_takes_no_other_key(claim):
+    # a subject names one graph, so a product beside another key is refused
+    good = Certificate(claim=claim, **_GOOD_CLAIMS[claim])
+    assert verify_certificate(good, WIDE) == "verified"
+    extra = Certificate(
+        claim=claim, **{**_GOOD_CLAIMS[claim], "subject": {**good.subject, "family": "path:3"}}
+    )
+    with pytest.raises(ValueError, match="need a product subject"):
+        verify_certificate(extra, WIDE)
+
+
+def test_infinite_labelling_order_is_malformed():
+    # JSON reads 1e999 as an infinite float, which int() cannot convert
+    text = json.dumps({"claim": "legality", "subject": {"family": "path:2"}, "value": 1,
+                       "labelling": {"n": 1e999, "labels": ["1", "0"]}})
+    with pytest.raises(ValueError, match="malformed labelling"):
+        verify_certificate(text, WIDE)
+
+
+def test_parsed_graph_orders_are_sized_before_building():
+    # an 8-byte header announces 30000 vertices, whose rows could take 112 MB
+    with pytest.raises(ValueError, match="edge list would have 30000 vertices"):
+        parse_edge_list("30000 0\n")
+    order = "~" + "".join(chr(((30000 >> shift) & 63) + 63) for shift in (12, 6, 0))
+    with pytest.raises(ValueError, match="graph6 graph would have 30000 vertices"):
+        graph6_decode(order)
+    assert parse_edge_list("23000 0\n").n == 23000
