@@ -443,8 +443,13 @@ def _check_legality(cert: Certificate, limits: SolverLimits) -> bool:
     if cert.labelling is None:
         return False
     try:
-        lab = Labelling.from_strings(int(cert.labelling["n"]), cert.labelling["labels"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, labels = cert.labelling["n"], cert.labelling["labels"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, not {n!r}")
+        if type(labels) is not list:
+            raise ValueError("labels must be a list of label strings")
+        lab = Labelling.from_strings(n, labels)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed labelling payload: {exc}") from None
     return lab.size == graph.n and check_legal(graph, lab).legal and weight(lab) == cert.value
 

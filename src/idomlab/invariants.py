@@ -5,7 +5,9 @@ desk-scale graphs (the default cap is 40 vertices).  They are
 branch-and-bound searches, except that ``i``, ``gamma`` and ``gamma_t`` on
 graphs of at least 24 vertices and frontier width at most 6 (paths, cycles,
 ``P_m x K_n`` for n <= 4) take a dynamic program over the vertex order,
-whose cost is linear in the order for a fixed width.  Every
+which works out each distinct transition between its layers of states once
+per solve, so that where layers recur, as on those families, its cost
+follows the number of distinct layers, not the order.  Every
 result carries a witness set that re-verifies under the matching predicate,
 and the reported witness is always the lexicographically smallest optimum,
 so results do not depend on traversal or worker scheduling.
@@ -13,6 +15,7 @@ so results do not depend on traversal or worker scheduling.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, Optional
@@ -268,17 +271,37 @@ def _cover_leaves(
 #
 # In the cover DP a state is the (chosen, covered) pair of the frontier, kept
 # as bits over frontier slots, and a vertex must be covered by the time it
-# leaves.  Each state keeps the best score of the prefixes reaching it.
-# Prefixes reaching the same state have the same completions, so keeping one
-# per state is exact.
+# leaves.  Each state keeps the best prefix reaching it.  Prefixes reaching
+# the same state have the same completions, so keeping one per state is
+# exact.
 #
-# The score is ``size << n`` plus bit ``n - 1 - u`` for every decided vertex
-# ``u`` left out, so the least score has the fewest members and, among those,
-# the least sorted members: of two sets of one size, the lexicographically
-# smaller holds the smallest vertex of their symmetric difference, which the
-# other leaves out at a higher bit.  A state's best prefix therefore extends
-# to the best cover through it, and the final score is the least optimum the
-# branch-and-bound reaches first.
+# Of two prefixes the better has fewer members or, at equal size, the lesser
+# sequence of in/out bits (0 = in) read from vertex 0.  Among sets of one
+# size that is the order of their sorted members, so a state's best prefix
+# extends to the best cover through it, and the best final prefix is the
+# least optimum the branch-and-bound reaches first.  A layer, the states
+# after one vertex, keeps for each state its best prefix's size and its rank
+# among the layer's best prefixes in bit order.  A candidate from the source
+# of rank ``r`` taking bit ``b`` then compares by ``(size, r, b)``, as the
+# whole prefixes compare.  Sources are visited in rank order, "in" before
+# "out", so candidates arrive in ``(r, b)`` order and a state's winner only
+# changes to a strictly smaller size; a state whose winner changes moves to
+# the end of the layer, so the layer's order is its winners' ``(r, b)``
+# order, which is the next rank order.
+#
+# A candidate is one int, ``size << field | (2 * r + b) << keyed | state``,
+# and a layer is held as its winners' ints in rank order, packed into bytes.
+# The sizes count from the source layer's first entry, so the first entries'
+# sizes add up to the optimum, and the ``2 * r + b`` fields are the
+# back-pointers that one backtrack reads the witness from.  Equal bytes get
+# one layer id, and the next layer depends only on a layer's bytes and the
+# plan step, so each ``(plan step, layer id)`` is worked out once per solve
+# and looked up after that: on a path or a cycle a handful of layers recur
+# and every later vertex is a lookup.  Layers that differ only in their
+# back-pointers or in the offset of their sizes get two ids but have equal
+# successors, so a repeat is found one vertex later.  Memory: a vertex that
+# is looked up stores one layer id; one that is worked out stores one memo
+# entry and, for a new layer, 8 bytes per state.
 
 # Route to the DP from this order and at most this natural-order width.
 # Both routes timed on every cover solve of one pass of the paper's
@@ -313,12 +336,13 @@ def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
 
     ``rows`` are symmetric adjacency rows and ``last`` their
     ``_last_neighbours``.  Step ``v`` is ``(near, leaving, own)``: ``near``
-    pairs each frontier neighbour of ``v`` with its slot, ``leaving`` holds
-    the slots of the frontier vertices whose last neighbour is ``v``, both in
-    index order, and ``own`` is the slot ``v`` takes, or -1 when no later
-    vertex neighbours it.  Every slot is below ``_frontier_width(last)``.
-    The steps are made as the DP reads them, so a long graph's plan is never
-    held whole; held whole, that of ``path:3000`` takes about 0.8 MB.
+    holds the slots of the frontier neighbours of ``v``, ``leaving`` the
+    slots of the frontier vertices whose last neighbour is ``v``, both in
+    index order of their vertices, and ``own`` is the slot ``v`` takes, or
+    -1 when no later vertex neighbours it.  Every slot is below
+    ``_frontier_width(last)``.  The steps are made as the DP reads them, so
+    a long graph's plan is never held whole; held whole, that of
+    ``path:3000`` takes about 0.5 MB.
     """
     slot = [0] * len(rows)
     taken = 0  # a bit for each slot held by a frontier vertex
@@ -329,7 +353,7 @@ def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
         stay = []
         for u in frontier:
             if (row >> u) & 1:
-                near.append((u, slot[u]))
+                near.append(slot[u])
                 if last[u] == v:  # a leaving vertex is a neighbour of v
                     leaving.append(slot[u])
                     taken ^= 1 << slot[u]
@@ -346,97 +370,128 @@ def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
 
 
 def _frontier_min_cover(
-    deadline: _Deadline,
-    coverage: tuple[int, ...],
-    chooser: tuple[int, ...],
-    conflict: tuple[int, ...],
-    plan: Iterator[tuple],
-    width: int,
+    deadline: _Deadline, plan: Iterator[tuple], width: int, independent: bool, covers_self: bool
 ) -> tuple[int, int]:
     """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
-    Takes the cover kernel's rows, which must be symmetric and admit a
-    cover, and the ``_frontier_plan`` of the rows' union, whose slots are
-    below ``width``; for ``i``, ``gamma`` and ``gamma_t`` that union reaches
-    exactly as far as the graph's adjacency rows, so the plan of those rows
-    serves.
+    ``plan`` is the ``_frontier_plan`` of a graph's adjacency rows, whose
+    slots are below ``width``, and the graph must admit a cover.  A chosen
+    vertex covers its neighbours, rejects them when ``independent`` (``i``),
+    and covers itself when ``covers_self`` (``i`` and ``gamma``).
     """
-    n = len(coverage)
-    low = (1 << width) - 1
-    unit = 1 << n
-    states = {0: 0}  # chosen | covered << width -> best score
-    for v, (near, leaving, own) in enumerate(plan):
+    keyed = 2 * width  # a state: chosen | covered << width
+    key_mask = (1 << keyed) - 1
+    out = 1 << keyed  # b = 1, v left out
+    next_rank = out << 1
+    field = 4 * width + 1  # above a state and 2 * r + b, r below 4 ** width
+    unit = 1 << field
+    sizes = -unit
+    back = (1 << (2 * width + 1)) - 1
+    start = bytes(8)  # the empty state, packed
+    layers = {start: 0}  # a layer's bytes -> its id
+    held = [start]  # each layer id's bytes
+    memo: dict[tuple, int] = {}  # (plan step, layer id) -> next layer id
+    trail = []  # the layer id after each vertex
+    layer = 0
+    fresh = True  # nothing is known yet of the current layer's successors
+    first = 0  # the current layer's first entry
+    entries = {0: 0}.items()  # its (state, entry) pairs, when at hand
+    for step in plan:
         deadline.tick()
-        cover = by = clash = done = 0
-        for u, s in near:
-            if (coverage[v] >> u) & 1:
-                cover |= 1 << s
-            if (chooser[v] >> u) & 1:
-                by |= 1 << s
-            if (conflict[v] >> u) & 1:
-                clash |= 1 << s
-        for s in leaving:
-            done |= 1 << s
-        need = done << width
-        keep = ~(done | need)
-        pick = cover << width
-        stays = own >= 0  # else v leaves at once and must be covered now
-        own_chosen = 1 << own if stays else 0
-        own_covered = own_chosen << width
-        by_self = (chooser[v] >> v) & 1
-        out_mark = 1 << (n - 1 - v)
-        after: dict[int, int] = {}
-        for state, score in states.items():
-            chosen = state & low
-            met = by & chosen
-            if state & need == need and (met or stays):
-                nxt = state & keep | (own_covered if met else 0)
-                old = after.get(nxt)
-                if old is None or score | out_mark < old:
-                    after[nxt] = score | out_mark
-            if clash & chosen == 0 and (met or by_self or stays):
-                nxt = state | pick
-                if nxt & need == need:
-                    nxt = nxt & keep | own_chosen | (own_covered if met or by_self else 0)
-                    old = after.get(nxt)
-                    if old is None or score + unit < old:
-                        after[nxt] = score + unit
-        states = after
-    score = states[0]
-    members = 0
-    for u in range(n):
-        if not (score >> (n - 1 - u)) & 1:  # u was not left out
-            members |= 1 << u
-    return score >> n, members
+        key = (step, layer)
+        nxt_layer = None if fresh else memo.get(key)
+        if nxt_layer is not None:
+            entries = None
+        else:
+            near, leaving, own = step
+            nearby = done = 0
+            for s in near:
+                nearby |= 1 << s
+            for s in leaving:
+                done |= 1 << s
+            clash = nearby if independent else 0
+            need = done << width
+            keep = ~(done | need)
+            pick = nearby << width
+            stays = own >= 0  # else v leaves at once and must be covered now
+            free = covers_self or stays
+            own_covered = (1 << own if stays else 0) << width
+            own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
+            if entries is None:
+                view = memoryview(held[layer]).cast("q")
+                entries = zip([entry & key_mask for entry in view], view)
+                first = view[0]
+            after: dict[int, int] = {}  # state -> its winner, in rank order
+            rank = -(first & sizes)  # sizes count from the first entry's
+            for state, entry in entries:
+                base = (entry & sizes) + rank
+                rank += next_rank
+                met = state & nearby
+                if state & clash == 0 and (met or free):
+                    nxt = state | pick
+                    if nxt & need == need:
+                        nxt = nxt & keep | own_in | (own_covered if met else 0)
+                        new = base + unit | nxt
+                        old = after.setdefault(nxt, new)
+                        if new < old:
+                            del after[nxt]
+                            after[nxt] = new
+                if state & need == need and (met or stays):
+                    nxt = state & keep | (own_covered if met else 0)
+                    new = base + out | nxt
+                    old = after.setdefault(nxt, new)
+                    if new < old:
+                        del after[nxt]
+                        after[nxt] = new
+            won = list(after.values())
+            entries = after.items()
+            first = won[0]
+            packed = array("q", won).tobytes()
+            nxt_layer = memo[key] = layers.setdefault(packed, len(held))
+            fresh = nxt_layer == len(held)
+            if fresh:
+                held.append(packed)
+        trail.append(nxt_layer)
+        layer = nxt_layer
+    views = [memoryview(packed).cast("q") for packed in held]
+    size = members = rank = 0
+    for v in range(len(trail) - 1, -1, -1):
+        entries = views[trail[v]]
+        size += entries[0] >> field
+        rank = entries[rank] >> keyed & back
+        if not rank & 1:
+            members |= 1 << v
+        rank >>= 1
+    return size, members
 
 
 def _solve_min_cover(
-    graph: Graph,
-    deadline: _Deadline,
-    coverage: tuple[int, ...],
-    chooser: tuple[int, ...],
-    conflict: tuple[int, ...],
-    upper: int,
+    graph: Graph, deadline: _Deadline, independent: bool, covers_self: bool
 ) -> tuple[int, int, str]:
     """Return ``(size, bits, method)`` of the lexicographically least minimum cover.
 
-    ``upper`` is one more than the size of some feasible cover.  Graphs of
-    at least ``_DP_MIN_ORDER`` vertices whose frontier width in natural
-    order is at most ``_DP_MAX_WIDTH`` take the frontier DP; every other
-    graph takes the branch-and-bound, which is as fast below 24 vertices
-    and faster above width 6, where the DP's states multiply (the
-    measured crossover is in the comment on ``_DP_MIN_ORDER``).
+    A chosen vertex covers its neighbours, rejects them when
+    ``independent``, and covers itself when ``covers_self``.  Graphs of at
+    least ``_DP_MIN_ORDER`` vertices whose frontier width in natural order
+    is at most ``_DP_MAX_WIDTH`` take the frontier DP; every other graph
+    takes the branch-and-bound, which is as fast below 24 vertices and
+    faster above width 6, where the DP's states multiply (the measured
+    crossover is in the comment on ``_DP_MIN_ORDER``).
     """
+    adj = graph.adj
     if graph.n >= _DP_MIN_ORDER:
-        last = _last_neighbours(graph.adj)
+        last = _last_neighbours(adj)
         width = _frontier_width(last)
         if width <= _DP_MAX_WIDTH:
-            plan = _frontier_plan(graph.adj, last)
-            size, bits = _frontier_min_cover(deadline, coverage, chooser, conflict, plan, width)
+            plan = _frontier_plan(adj, last)
+            size, bits = _frontier_min_cover(deadline, plan, width, independent, covers_self)
             return size, bits, "frontier-dp"
-    bound = [upper]
+    coverage = tuple(row | (1 << v) for v, row in enumerate(adj)) if covers_self else adj
+    conflict = adj if independent else (0,) * graph.n
+    feasible = _greedy_maximal_independent(adj, graph.n) if independent else graph.full_bits
+    bound = [feasible.bit_count() + 1]
     witness = 0
-    for witness in _cover_leaves(graph.full_bits, deadline, coverage, chooser, conflict, bound):
+    for witness in _cover_leaves(graph.full_bits, deadline, coverage, coverage, conflict, bound):
         bound[0] = witness.bit_count()
     return bound[0], witness, "branch-and-bound"
 
@@ -448,9 +503,7 @@ def independent_domination_number(
     _require_cap(graph, limits, "exact independent domination")
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
-    closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
-    upper = _greedy_maximal_independent(graph.adj, graph.n).bit_count() + 1
-    value, bits, method = _solve_min_cover(graph, deadline, closed, closed, graph.adj, upper)
+    value, bits, method = _solve_min_cover(graph, deadline, True, True)
     return InvariantResult("i", value, VertexSet(graph.n, bits), method, perf_counter() - started)
 
 
@@ -459,10 +512,7 @@ def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> In
     _require_cap(graph, limits, "exact domination")
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
-    closed = tuple(graph.adj[v] | (1 << v) for v in range(graph.n))
-    value, bits, method = _solve_min_cover(
-        graph, deadline, closed, closed, (0,) * graph.n, graph.n + 1
-    )
+    value, bits, method = _solve_min_cover(graph, deadline, False, True)
     return InvariantResult(
         "gamma", value, VertexSet(graph.n, bits), method, perf_counter() - started
     )
@@ -479,9 +529,7 @@ def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS)
         raise UndefinedInvariant("total domination is undefined with isolated vertices")
     started = perf_counter()
     deadline = _Deadline(limits.budget_secs)
-    value, bits, method = _solve_min_cover(
-        graph, deadline, graph.adj, graph.adj, (0,) * graph.n, graph.n + 1
-    )
+    value, bits, method = _solve_min_cover(graph, deadline, False, False)
     return InvariantResult(
         "gamma_t", value, VertexSet(graph.n, bits), method, perf_counter() - started
     )

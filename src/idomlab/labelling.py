@@ -73,8 +73,12 @@ class Labelling:
 
     @classmethod
     def from_strings(cls, n: int, labels: Sequence[str]) -> "Labelling":
+        if isinstance(labels, str):
+            raise ValueError("labels must be a sequence of label strings, not one string")
         tags = []
         for text in labels:
+            if not isinstance(text, str):
+                raise ValueError(f"label {text!r} is not a string")
             if text == SPECIAL_TEXT:
                 tags.append(special_tag(n))
             else:
@@ -287,12 +291,14 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # 1997) on a linear order.  It reads the frontier plan that the cover kernel's
 # DP reads (``invariants._frontier_plan``): the frontier is the tagged
 # vertices that still have an untagged neighbour, each in a slot the plan
-# assigns.  A state is ``used``, the number of classes opened, plus each
-# frontier vertex's tag and pending need: a class vertex waits for a
-# same-class neighbour (condition 2); a 0 vertex has seen no class yet, or one
-# class ``c`` (condition 4); an [n] vertex needs nothing.  A vertex must need
-# nothing when it leaves the frontier.  Each state keeps the least score of
-# the prefixes reaching it: the weight, then the prefix's tags as digits.
+# assigns, and each step names the slots of the vertex's tagged neighbours
+# and of those that leave, and the vertex's own slot.  A state is ``used``,
+# the number of classes opened, plus each frontier vertex's tag and pending
+# need: a class vertex waits for a same-class neighbour (condition 2); a 0
+# vertex has seen no class yet, or one class ``c`` (condition 4); an [n]
+# vertex needs nothing.  A vertex must need nothing when it leaves the
+# frontier.  Each state keeps the least score of the prefixes reaching it:
+# the weight, then the prefix's tags as digits.
 # Prefixes reaching one state have the same completions, so the least final
 # score is the branch-and-bound's optimum, with no backward pass.  The number
 # of states follows ``n`` and the frontier width, not the order; only the
@@ -401,9 +407,8 @@ def _frontier_min_weight(
     # (near, leaving, own) -> {a state's used and near fields -> moves}
     tables: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
     states = {0: 0}  # packed state -> least score
-    for v, (neighbours, leaving, own) in enumerate(plan):
+    for v, (near, leaving, own) in enumerate(plan):
         deadline.tick()
-        near = tuple([s for _, s in neighbours])
         local = field
         for s in near:
             local |= both << (bits * (1 + 2 * s))

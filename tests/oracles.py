@@ -1,15 +1,19 @@
 """Independent brute-force oracles the solver tests are checked against.
 
 Everything here enumerates subsets or assignments directly and never calls
-the branch-and-bound code paths it is used to check.
+the branch-and-bound code paths it is used to check, except the score-carrying
+frontier DP, which reads the solver's frontier plan (checked on its own by
+``TestFrontierPlan``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from typing import Iterator
 
 from idomlab.graph import Graph, VertexSet
+from idomlab.invariants import _Deadline
 
 
 def subsets(n: int):
@@ -224,3 +228,84 @@ def bfs_all_pairs(graph: Graph) -> list[list[float]]:
                     queue.append(v)
         table.append(dist)
     return table
+
+
+def paired_plan(plan: Iterator[tuple]) -> Iterator[tuple]:
+    """The steps of a ``_frontier_plan`` with each near slot paired with its vertex."""
+    holder: dict[int, int] = {}  # slot -> the frontier vertex in it
+    for v, (near, leaving, own) in enumerate(plan):
+        yield tuple((holder[s], s) for s in near), leaving, own
+        if own >= 0:
+            holder[own] = v
+
+
+# A frontier DP whose every state carries its best prefix's whole witness in
+# its score, ``size << n`` plus an out-bit per decided vertex, so it needs no
+# ranks, no memo and no backtrack.  It is the exact witness reference on
+# graphs far above the branch-and-bound's reach.  It takes the cover kernel's
+# rows and the ``paired_plan`` of the graph's frontier plan.
+
+
+def scored_frontier_min_cover(
+    deadline: _Deadline,
+    coverage: tuple[int, ...],
+    chooser: tuple[int, ...],
+    conflict: tuple[int, ...],
+    plan: Iterator[tuple],
+    width: int,
+) -> tuple[int, int]:
+    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+
+    Takes the cover kernel's rows, which must be symmetric and admit a
+    cover, and the ``_frontier_plan`` of the rows' union, whose slots are
+    below ``width``; for ``i``, ``gamma`` and ``gamma_t`` that union reaches
+    exactly as far as the graph's adjacency rows, so the plan of those rows
+    serves.
+    """
+    n = len(coverage)
+    low = (1 << width) - 1
+    unit = 1 << n
+    states = {0: 0}  # chosen | covered << width -> best score
+    for v, (near, leaving, own) in enumerate(plan):
+        deadline.tick()
+        cover = by = clash = done = 0
+        for u, s in near:
+            if (coverage[v] >> u) & 1:
+                cover |= 1 << s
+            if (chooser[v] >> u) & 1:
+                by |= 1 << s
+            if (conflict[v] >> u) & 1:
+                clash |= 1 << s
+        for s in leaving:
+            done |= 1 << s
+        need = done << width
+        keep = ~(done | need)
+        pick = cover << width
+        stays = own >= 0  # else v leaves at once and must be covered now
+        own_chosen = 1 << own if stays else 0
+        own_covered = own_chosen << width
+        by_self = (chooser[v] >> v) & 1
+        out_mark = 1 << (n - 1 - v)
+        after: dict[int, int] = {}
+        for state, score in states.items():
+            chosen = state & low
+            met = by & chosen
+            if state & need == need and (met or stays):
+                nxt = state & keep | (own_covered if met else 0)
+                old = after.get(nxt)
+                if old is None or score | out_mark < old:
+                    after[nxt] = score | out_mark
+            if clash & chosen == 0 and (met or by_self or stays):
+                nxt = state | pick
+                if nxt & need == need:
+                    nxt = nxt & keep | own_chosen | (own_covered if met or by_self else 0)
+                    old = after.get(nxt)
+                    if old is None or score + unit < old:
+                        after[nxt] = score + unit
+        states = after
+    score = states[0]
+    members = 0
+    for u in range(n):
+        if not (score >> (n - 1 - u)) & 1:  # u was not left out
+            members |= 1 << u
+    return score >> n, members

@@ -459,7 +459,9 @@ class TestDeterminism:
 
 class TestMalformedBundles:
     # each file holds one certificate that the reader or its subject refuses
-    @pytest.mark.parametrize("name", ["deep_product", "bool_value", "edge_list_header"])
+    @pytest.mark.parametrize(
+        "name", ["deep_product", "bool_value", "edge_list_header", "labelling_float_order"]
+    )
     def test_bundle_is_usage_error(self, capsys, name):
         path = os.path.join(ROOT, "tests", "bundles", f"{name}.jsonl")
         code, out, err = run_cli(capsys, "verify", path)

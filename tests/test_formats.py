@@ -577,11 +577,38 @@ def test_product_claim_subject_takes_no_other_key(claim):
 
 
 def test_infinite_labelling_order_is_malformed():
-    # JSON reads 1e999 as an infinite float, which int() cannot convert
+    # JSON reads 1e999 as an infinite float
     text = json.dumps({"claim": "legality", "subject": {"family": "path:2"}, "value": 1,
                        "labelling": {"n": 1e999, "labels": ["1", "0"]}})
     with pytest.raises(ValueError, match="malformed labelling"):
         verify_certificate(text, WIDE)
+
+
+@pytest.mark.parametrize(
+    "labelling",
+    [
+        {"n": 3.9, "labels": ["1", "1"]},
+        {"n": 3.0, "labels": ["1", "1"]},
+        {"n": "3", "labels": ["1", "1"]},
+        {"n": True, "labels": ["1", "1"]},
+        {"n": None, "labels": ["1", "1"]},
+        {"n": 3, "labels": "11"},
+        {"n": 3, "labels": ["1", 1]},
+        {"n": 3, "labels": ["1", 1.0]},
+        {"n": 3, "labels": [True, "1"]},
+        {"n": 3, "labels": {"0": "1", "1": "1"}},
+        ["n", 3],
+    ],
+    ids=["n-float", "n-whole-float", "n-string", "n-bool", "n-null", "labels-string",
+         "label-int", "label-float", "label-bool", "labels-object", "payload-list"],
+)
+def test_labelling_payload_types_are_checked(labelling):
+    # the legal labelling 1, 1 of P_2 with n = 3, one field's type broken in each case
+    good = {"claim": "legality", "subject": {"family": "path:2"}, "value": 2,
+            "labelling": {"n": 3, "labels": ["1", "1"]}}
+    assert verify_certificate(json.dumps(good), WIDE) == "verified"
+    with pytest.raises(ValueError, match="malformed labelling"):
+        verify_certificate(json.dumps({**good, "labelling": labelling}), WIDE)
 
 
 def test_parsed_graph_orders_are_sized_before_building():

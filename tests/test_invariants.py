@@ -1,7 +1,8 @@
 import random
 import sys
+import tracemalloc
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -53,6 +54,8 @@ from oracles import (
     brute_least_optimum,
     brute_maximal_independent_sets,
     brute_rho,
+    paired_plan,
+    scored_frontier_min_cover,
     vertex_set,
 )
 
@@ -219,11 +222,23 @@ def cover_rows(g, name):
     }[name]
 
 
+# whether a chosen vertex rejects its neighbours, and whether it covers itself
+COVER_FACTS = {"i": (True, True), "gamma": (False, True), "gamma_t": (False, False)}
+
+
 def frontier_dp(g, name):
-    """The frontier DP on the cover kernel's rows, over the plan the router builds."""
+    """The frontier DP for one invariant, over the plan the router builds."""
     last = _last_neighbours(g.adj)
     plan = _frontier_plan(g.adj, last)
-    return _frontier_min_cover(_Deadline(None), *cover_rows(g, name), plan, _frontier_width(last))
+    return _frontier_min_cover(_Deadline(None), plan, _frontier_width(last), *COVER_FACTS[name])
+
+
+def scored_dp(g, name):
+    """The score-carrying reference DP on the cover kernel's rows, over the same plan."""
+    last = _last_neighbours(g.adj)
+    plan = paired_plan(_frontier_plan(g.adj, last))
+    rows = cover_rows(g, name)
+    return scored_frontier_min_cover(_Deadline(None), *rows, plan, _frontier_width(last))
 
 
 def defined(g, name):
@@ -299,7 +314,7 @@ class TestFrontierPlan:
             slot = {}
             for v, (near, leaving, own) in enumerate(plan):
                 frontier = [u for u in range(v) if g.adj[u] >> v]  # a neighbour from v on
-                assert near == tuple((u, slot[u]) for u in frontier if (g.adj[v] >> u) & 1)
+                assert near == tuple(slot[u] for u in frontier if (g.adj[v] >> u) & 1)
                 assert leaving == tuple(slot[u] for u in frontier if not g.adj[u] >> (v + 1))
                 assert (own == -1) == (not g.adj[v] >> (v + 1))
                 if own >= 0:
@@ -307,13 +322,13 @@ class TestFrontierPlan:
                 held = [slot[u] for u in range(v + 1) if g.adj[u] >> (v + 1)]
                 assert len(set(held)) == len(held)
                 assert all(0 <= s < width for s in held)
-                assert all(0 <= s < width for _, s in near)
+                assert all(0 <= s < width for s in near)
 
 
 class TestFrontierDP:
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_router_frontier_is_the_rows_frontier(self, name):
-        """The router reads ``last`` off the graph; the DP's rows reach exactly as far."""
+        """The kernel's rows reach as far as the graph's, whose plan the reference DP reads."""
         graphs = list(graphs_up_to_order_seven()) + [make_path(100), make_cycle(100)]
         for g in graphs:
             rows = cover_rows(g, name)
@@ -380,6 +395,65 @@ class TestFrontierDP:
         for g in wide:
             for name in ("i", "gamma"):  # the route depends on the graph alone
                 assert invariant(g, name, limits).method == "branch-and-bound"
+
+
+def narrow_graph(rng, n, band, p):
+    """A random graph whose edges join vertices at most ``band`` apart: width at most ``band``."""
+    edges = [(u, v) for v in range(n) for u in range(max(0, v - band), v) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+class TestLayerMemo:
+    """The memoized DP against the score-carrying reference DP, value and witness bits."""
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_matches_reference_on_paths_and_cycles(self, name):
+        for m in (*range(3, 61), 900, 3000):
+            for g in (make_path(m), make_cycle(m)):
+                assert frontier_dp(g, name) == scored_dp(g, name)
+
+    @pytest.mark.parametrize("name", COVER_INVARIANTS)
+    def test_matches_reference_on_narrow_products(self, name):
+        graphs = [
+            direct_product(make_path(m), make_complete(n)).graph
+            for n in (1, 2, 3, 4)
+            for m in (*range(1, 25), 50, 101, 300)
+        ]
+        graphs += [direct_product(make_cycle(m), make_complete(2)).graph for m in range(3, 101)]
+        for g in graphs:
+            if defined(g, name):
+                assert frontier_dp(g, name) == scored_dp(g, name)
+
+    def test_matches_reference_on_random_narrow_graphs(self):
+        rng = random.Random(1616)
+        disconnected = isolated = 0
+        for _ in range(500):
+            band = rng.randint(0, 6)
+            g = narrow_graph(rng, rng.randint(1, 60), band, rng.uniform(0.05, 0.9))
+            last = _last_neighbours(g.adj)
+            assert _frontier_width(last) <= band
+            # no edge joins vertices up to v with those after v
+            reach = list(accumulate(last, max))
+            disconnected += any(reach[v] == v for v in range(g.n - 1))
+            isolated += not all(g.adj)
+            for name in COVER_INVARIANTS:
+                if defined(g, name):
+                    assert frontier_dp(g, name) == scored_dp(g, name)
+        assert disconnected > 100 and isolated > 100
+
+    def test_memory_where_layers_never_repeat(self):
+        # on this graph no (plan step, layer id) recurs (measured), so every
+        # vertex is worked out and its layer stored
+        g = narrow_graph(random.Random(5), 3000, 5, 0.5)
+        assert _frontier_width(_last_neighbours(g.adj)) == 5
+        tracemalloc.start()
+        try:
+            result = frontier_dp(g, "i")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == scored_dp(g, "i")
+        assert peak < 16 * 2**20
 
 
 class TestEnumeration:

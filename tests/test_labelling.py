@@ -1,5 +1,4 @@
 import random
-from itertools import product as iproduct
 
 import pytest
 
@@ -79,6 +78,11 @@ class TestWeight:
         lab = Labelling(4, (0, 1, 5, 4))
         assert lab.label_strings() == ("0", "1", "[n]", "4")
         assert Labelling.from_strings(4, lab.label_strings()) == lab
+
+    @pytest.mark.parametrize("labels", ["0145", ("0", 1), ("0", 2.0), (True, "1")])
+    def test_from_strings_takes_strings_only(self, labels):
+        with pytest.raises(ValueError, match="string"):
+            Labelling.from_strings(4, labels)
 
 
 class TestConstructedSets:
@@ -222,9 +226,20 @@ class TestMinimizeWeight:
         for m in range(3, 10):
             g = make_path(m)
             cap = (m - 2) // 3
-            for tags in iproduct(range(n + 1), repeat=m):  # tags 0..n, no layer label
-                lab = Labelling(n, tags)
-                if check_legal(g, lab).legal:
+            # Every tag tuple over 0..n (no layer label, so condition 3 holds)
+            # whose prefixes meet condition 1 on their edges: no two
+            # neighbours in distinct classes.  Every legal labelling is one.
+            prefixes = [()]
+            for v in range(m):
+                earlier = [u for u in range(v) if (g.adj[v] >> u) & 1]
+                prefixes = [
+                    tags + (t,)
+                    for tags in prefixes
+                    for t in range(n + 1)
+                    if not any(t and tags[u] and t != tags[u] for u in earlier)
+                ]
+            for tags in prefixes:
+                if check_legal(g, Labelling(n, tags)).legal:
                     assert tags.count(0) <= cap
 
     def test_deterministic_canonical_labelling(self):
