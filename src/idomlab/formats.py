@@ -185,14 +185,15 @@ def write_graph(graph: Graph, fmt: str) -> str:
 # Compact pattern syntax: "(1,1,0,2,2,0)^2(3,3,3,0)"
 # ---------------------------------------------------------------------------
 
-_GROUP_RE = re.compile(r"\(([^()]*)\)(?:\^(\d+))?")
+_GROUP_RE = re.compile(r"\(([^()]*)\)(?:\^([0-9]+))?")
 
 
 def parse_pattern(text: str, n: int, expect_length: Optional[int] = None) -> Labelling:
     """Expand pattern groups into a labelling over the clique order ``n``.
 
     Each group ``(c_1,...,c_k)^r`` contributes ``r`` copies of its labels;
-    the exponent defaults to 1.  Tokens are class numbers or ``[n]``.
+    the exponent defaults to 1.  Tokens are class numbers in ASCII digits
+    or ``[n]``.
     """
     stripped = text.strip()
     tags: list[int] = []
@@ -212,7 +213,7 @@ def parse_pattern(text: str, n: int, expect_length: Optional[int] = None) -> Lab
             if token == "[n]":
                 group_tags.append(n + 1)
                 continue
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise ValueError(f"unknown pattern token {token!r}")
             value = int(token)
             if value > n:

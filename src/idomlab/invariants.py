@@ -1,16 +1,20 @@
 """Exact computation of domination-type invariants with verifiable witnesses.
 
 All solvers are exact searches on bitset adjacency rows, meant for
-desk-scale graphs (the default cap is 40 vertices).  They are
-branch-and-bound searches, except that ``i``, ``gamma`` and ``gamma_t`` on
-graphs of at least 24 vertices and frontier width at most 6 (paths, cycles,
-``P_m x K_n`` for n <= 4) take a dynamic program over the vertex order,
-which works out each distinct transition between its layers of states once
-per solve, so that where layers recur, as on those families, its cost
-follows the number of distinct layers, not the order.  Every
-result carries a witness set that re-verifies under the matching predicate,
-and the reported witness is always the lexicographically smallest optimum,
-so results do not depend on traversal or worker scheduling.
+desk-scale graphs (the default cap is 40 vertices).  One branch-and-bound,
+the cover search, serves all five invariants and the enumeration of maximal
+independent sets: its leaves are the sets that cover every vertex, and
+``alpha`` and ``rho`` search its maximal independent sets, of the graph and
+of its square, under a clique-cover bound.  Only ``i``, ``gamma`` and
+``gamma_t`` on graphs of at least 24 vertices and frontier width at most 6
+(paths, cycles, ``P_m x K_n`` for n <= 4) take a dynamic program over the
+vertex order instead, which works out each distinct transition between its
+layers of states once per solve, so that where layers recur, as on those
+families, its cost follows the number of distinct layers, not the order.
+Every result carries a witness set that re-verifies under the matching
+predicate, and the reported witness is always the lexicographically
+smallest optimum, so results do not depend on traversal or worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph import Graph, VertexSet, square_graph, _bits_of
 
@@ -144,29 +148,38 @@ PREDICATES = {
 
 
 # ---------------------------------------------------------------------------
-# The cover kernel: independent domination, domination, total domination
+# The cover kernel: one search for all five invariants
 # ---------------------------------------------------------------------------
 #
 # Picking vertex ``v`` covers ``coverage[v]`` and rejects ``conflict[v]``; an
 # uncovered vertex ``u`` can only be covered by members of ``chooser[u]``.
 # Propagation forces the single remaining option of any uncovered vertex, and
-# a forced vertex that conflicts with the chosen set ends the branch.  Dead
-# branches are also cut by the bound |chosen| + ceil(uncovered / largest
-# coverage).  For i the rows are (closed, closed, adj); for gamma (closed,
-# closed, none); for gamma_t (adj, adj, none).
+# a forced vertex that conflicts with the chosen set ends the branch.  A leaf
+# is a chosen set that covers every vertex.  For i the rows are (closed,
+# closed, adj) and the leaves are the maximal independent sets; for gamma
+# (closed, closed, none); for gamma_t (adj, adj, none).  alpha and rho search
+# the i rows of the graph and of its square: every maximum independent set is
+# maximal, so it is a leaf.  On those rows an undecided vertex has no chosen
+# neighbour, so it is uncovered, and one whose neighbours are all decided is
+# its own last option and is forced in.
 #
-# One pass yields both the optimum and its lexicographically least witness,
-# and the maximum independent set search and the labelling branch-and-bound
-# (labelling._search_min_weight) rely on the same four conditions:
+# Each caller passes its own cut, asked once per node after propagation: a
+# minimum cover cuts at |chosen| + ceil(uncovered / largest coverage) >= best,
+# a maximum independent set at |chosen| + (cliques in a greedy cover of the
+# undecided vertices) <= best, and the enumeration cuts nothing.  One pass
+# yields both the optimum and its lexicographically least witness, for either
+# objective, under four conditions, which the labelling branch-and-bound
+# (labelling._search_min_weight) keeps too:
 #   1. the search branches on the lowest-index undecided vertex;
 #   2. it pushes "out" before "in", so "in" comes off the stack first and
 #      optima of equal size are reached in lexicographic order of their
 #      sorted members;
-#   3. it prunes strictly (bound >= best) and reads ``best`` when an entry is
-#      popped, so no subtree holding an optimum is cut before the first
-#      optimum is reached;
-#   4. ``best`` starts at a known feasible size + 1, so an optimum of exactly
-#      that size is still reached in order.
+#   3. the cut is strict, bound >= best for a minimum and bound <= best for a
+#      maximum, and reads ``best`` when an entry is popped, so no subtree
+#      holding an optimum is cut before the first optimum is reached;
+#   4. ``best`` starts where the cut spares every optimum: for a minimum at
+#      a known feasible size + 1, so an optimum of exactly that size is
+#      still reached in order, and for a maximum at -1, below every size.
 # Every leaf that improves ``best`` is recorded; the first optimum reached is
 # the least one, and no later leaf improves on it.
 
@@ -223,14 +236,15 @@ def _cover_leaves(
     coverage: tuple[int, ...],
     chooser: tuple[int, ...],
     conflict: tuple[int, ...],
-    bound: list[int],
+    cut: Callable[[int, int, int], bool],
 ) -> Iterator[int]:
     """Yield the chosen set of every leaf the cover search reaches, in order.
 
-    A node is cut when its size bound reaches ``bound[0]``, which is read at
-    every node, so the caller may lower it between leaves.
+    ``cut(k, uncovered, rejected)`` is asked at every node after
+    propagation, with the node's member count and its uncovered and
+    rejected vertices, and drops the node when it answers true; it may read
+    a best size that the caller changes between leaves.
     """
-    denom = max((row.bit_count() for row in coverage), default=1)
     stack = [(0, 0, 0)]
     while stack:
         deadline.tick()
@@ -239,9 +253,8 @@ def _cover_leaves(
         if state is None:
             continue
         chosen, rejected, covered = state
-        k = chosen.bit_count()
         uncovered = full & ~covered
-        if k + (uncovered.bit_count() + denom - 1) // denom >= bound[0]:
+        if cut(chosen.bit_count(), uncovered, rejected):
             continue
         if uncovered == 0:
             yield chosen
@@ -489,11 +502,16 @@ def _solve_min_cover(
     coverage = tuple(row | (1 << v) for v, row in enumerate(adj)) if covers_self else adj
     conflict = adj if independent else (0,) * graph.n
     feasible = _greedy_maximal_independent(adj, graph.n) if independent else graph.full_bits
-    bound = [feasible.bit_count() + 1]
+    denom = max((row.bit_count() for row in coverage), default=1)
+    best = feasible.bit_count() + 1
+
+    def cut(k: int, uncovered: int, rejected: int) -> bool:
+        return k + (uncovered.bit_count() + denom - 1) // denom >= best
+
     witness = 0
-    for witness in _cover_leaves(graph.full_bits, deadline, coverage, coverage, conflict, bound):
-        bound[0] = witness.bit_count()
-    return bound[0], witness, "branch-and-bound"
+    for witness in _cover_leaves(graph.full_bits, deadline, coverage, coverage, conflict, cut):
+        best = witness.bit_count()
+    return best, witness, "branch-and-bound"
 
 
 def independent_domination_number(
@@ -578,41 +596,22 @@ def _clique_cover_bound(adj: tuple[int, ...], candidates: int) -> int:
 def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]:
     """Return ``(alpha(G), bits)`` with the lexicographically least witness.
 
-    One pass, under the conditions stated for the cover kernel with the
-    bound mirrored: prune at ``upper <= best``, start ``best`` at -1.
+    Runs the cover kernel on the ``i`` rows, whose leaves are the maximal
+    independent sets, under a cut that mirrors the minimum covers': a node
+    goes when its members plus a greedy clique cover of its undecided
+    vertices reach no more than ``best``, which starts at -1.
     """
     adj = graph.adj
-    closed = tuple(adj[v] | (1 << v) for v in range(graph.n))
+    closed = tuple(row | (1 << v) for v, row in enumerate(adj))
     best = -1
+
+    def cut(k: int, uncovered: int, rejected: int) -> bool:
+        # on these rows the undecided vertices are the uncovered ones not rejected
+        return k + _clique_cover_bound(adj, uncovered & ~rejected) <= best
+
     witness = 0
-    stack = [(0, graph.full_bits)]
-    while stack:
-        deadline.tick()
-        chosen, candidates = stack.pop()
-        # vertices with no candidate neighbours always join
-        while True:
-            free = 0
-            scan = candidates
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if adj[v] & candidates == 0:
-                    free |= low
-            if not free:
-                break
-            chosen |= free
-            candidates &= ~free
-        k = chosen.bit_count()
-        if k + _clique_cover_bound(adj, candidates) <= best:
-            continue
-        if candidates == 0:
-            best, witness = k, chosen
-            continue
-        v_bit = candidates & -candidates
-        v = v_bit.bit_length() - 1
-        stack.append((chosen, candidates & ~v_bit))
-        stack.append((chosen | v_bit, candidates & ~closed[v]))
+    for witness in _cover_leaves(graph.full_bits, deadline, closed, closed, adj, cut):
+        best = witness.bit_count()
     return best, witness
 
 
@@ -676,6 +675,9 @@ def enumerate_maximal_independent_sets(
     n = graph.n
     closed = tuple(graph.adj[v] | (1 << v) for v in range(n))
     deadline = _Deadline(limits.budget_secs)
-    # chosen and uncovered vertices are disjoint, so a bound of n + 1 cuts nothing
-    for bits in _cover_leaves(graph.full_bits, deadline, closed, closed, graph.adj, [n + 1]):
+    # every leaf is a maximal independent set, so nothing is cut
+    leaves = _cover_leaves(
+        graph.full_bits, deadline, closed, closed, graph.adj, lambda k, uncovered, rejected: False
+    )
+    for bits in leaves:
         yield VertexSet(n, bits)

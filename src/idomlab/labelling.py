@@ -73,6 +73,7 @@ class Labelling:
 
     @classmethod
     def from_strings(cls, n: int, labels: Sequence[str]) -> "Labelling":
+        """Read the tokens :meth:`label_strings` prints: ``"0"`` to ``str(n)`` and ``"[n]"``."""
         if isinstance(labels, str):
             raise ValueError("labels must be a sequence of label strings, not one string")
         tags = []
@@ -81,11 +82,13 @@ class Labelling:
                 raise ValueError(f"label {text!r} is not a string")
             if text == SPECIAL_TEXT:
                 tags.append(special_tag(n))
-            else:
-                try:
-                    tags.append(int(text))
-                except ValueError:
-                    raise ValueError(f"unknown label token {text!r}") from None
+                continue
+            # int() alone would also read "+1", " 1", "01" and non-ASCII digits
+            short = text.isascii() and text.isdigit() and len(text) <= len(str(n))
+            tag = int(text) if short else -1
+            if not (0 <= tag <= n and str(tag) == text):
+                raise ValueError(f"unknown label token {text!r}")
+            tags.append(tag)
         return cls(n, tuple(tags))
 
     def class_members(self, tag: int) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 Everything here enumerates subsets or assignments directly and never calls
 the branch-and-bound code paths it is used to check, except the score-carrying
 frontier DP, which reads the solver's frontier plan (checked on its own by
-``TestFrontierPlan``).
+``TestFrontierPlan``), and the reference maximum independent set search,
+which reads the solver's clique-cover bound (checked on its own by
+``test_clique_cover_bound_is_the_plain_greedy_cover``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations, product as iproduct
 from typing import Iterator
 
 from idomlab.graph import Graph, VertexSet
-from idomlab.invariants import _Deadline
+from idomlab.invariants import _Deadline, _clique_cover_bound
 
 
 def subsets(n: int):
@@ -309,3 +311,50 @@ def scored_frontier_min_cover(
         if not (score >> (n - 1 - u)) & 1:  # u was not left out
             members |= 1 << u
     return score >> n, members
+
+
+# The maximum independent set search as it stood before alpha and rho moved
+# onto the cover kernel: a branch-and-bound of its own over candidate sets,
+# with the clique-cover bound.  It is the witness reference for alpha, and
+# for rho on the square graph.
+
+
+def reference_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]:
+    """Return ``(alpha(G), bits)`` with the lexicographically least witness.
+
+    One pass, under the conditions stated for the cover kernel with the
+    bound mirrored: prune at ``upper <= best``, start ``best`` at -1.
+    """
+    adj = graph.adj
+    closed = tuple(adj[v] | (1 << v) for v in range(graph.n))
+    best = -1
+    witness = 0
+    stack = [(0, graph.full_bits)]
+    while stack:
+        deadline.tick()
+        chosen, candidates = stack.pop()
+        # vertices with no candidate neighbours always join
+        while True:
+            free = 0
+            scan = candidates
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
+                scan ^= low
+                if adj[v] & candidates == 0:
+                    free |= low
+            if not free:
+                break
+            chosen |= free
+            candidates &= ~free
+        k = chosen.bit_count()
+        if k + _clique_cover_bound(adj, candidates) <= best:
+            continue
+        if candidates == 0:
+            best, witness = k, chosen
+            continue
+        v_bit = candidates & -candidates
+        v = v_bit.bit_length() - 1
+        stack.append((chosen, candidates & ~v_bit))
+        stack.append((chosen | v_bit, candidates & ~closed[v]))
+    return best, witness

@@ -460,7 +460,14 @@ class TestDeterminism:
 class TestMalformedBundles:
     # each file holds one certificate that the reader or its subject refuses
     @pytest.mark.parametrize(
-        "name", ["deep_product", "bool_value", "edge_list_header", "labelling_float_order"]
+        "name",
+        [
+            "deep_product",
+            "bool_value",
+            "edge_list_header",
+            "labelling_float_order",
+            "labelling_signed_label",
+        ],
     )
     def test_bundle_is_usage_error(self, capsys, name):
         path = os.path.join(ROOT, "tests", "bundles", f"{name}.jsonl")

@@ -162,6 +162,15 @@ class TestPatternSyntax:
         with pytest.raises(ValueError, match="unknown pattern token"):
             parse_pattern("(1,q)", 3)
 
+    @pytest.mark.parametrize("text", ["(\u0661,\u0661)", "(\u00b2,1)", "(\uff11)"])
+    def test_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="unknown pattern token"):
+            parse_pattern(text, 3)
+
+    def test_ascii_exponent_only(self):
+        with pytest.raises(ValueError, match="syntax error"):
+            parse_pattern("(1,1)^\u0662", 3)
+
     def test_class_above_clique_order(self):
         with pytest.raises(ValueError, match="exceeds"):
             parse_pattern("(4)", 3)

@@ -7,7 +7,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from idomlab import invariants
-from idomlab.graph import Graph, build_graph
+from idomlab.graph import Graph, build_graph, square_graph
 from idomlab.families import (
     build_family,
     make_cocktail,
@@ -55,6 +55,7 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_rho,
     paired_plan,
+    reference_max_independent,
     scored_frontier_min_cover,
     vertex_set,
 )
@@ -296,6 +297,61 @@ def graphs_up_to_order_seven():
     return tuple(graphs)
 
 
+def max_references(g):
+    """``(value, witness bits)`` of alpha and rho from the reference search."""
+    return tuple(reference_max_independent(h, _Deadline(None)) for h in (g, square_graph(g)))
+
+
+def max_solves(g):
+    """``(value, witness bits)`` of alpha and rho from the solvers."""
+    limits = SolverLimits(vertex_cap=max(g.n, 40))
+    results = (independence_number(g, limits), two_packing_number(g, limits))
+    return tuple((result.value, result.witness.bits) for result in results)
+
+
+class TestMaxIndependentReference:
+    """alpha and rho on the cover kernel against the reference search, value and witness bits."""
+
+    def test_graphs_up_to_order_seven(self):
+        for g in graphs_up_to_order_seven():
+            assert max_solves(g) == max_references(g)
+
+    def test_paths_and_cycles(self):
+        graphs = [make_path(m) for m in (*range(1, 61), 300)]
+        graphs += [make_cycle(m) for m in (*range(3, 61), 300)]
+        for g in graphs:
+            assert max_solves(g) == max_references(g)
+
+    def test_path_products_and_families(self):
+        graphs = [
+            direct_product(make_path(m), make_complete(n)).graph
+            for n in (1, 2, 3, 4)
+            for m in range(1, 13)
+        ]
+        specs = [f"X:{m}" for m in range(3, 7)] + [f"cocktail:{r}" for r in range(2, 9)]
+        specs += [f"kbip:{a},{b}" for a in range(1, 7) for b in range(1, 7)]
+        specs += ["Gn:1", "Gn:2", "Hn:1", "Hn:2", "Hn:3"]
+        graphs += [build_family(spec) for spec in specs]
+        for g in graphs:
+            assert max_solves(g) == max_references(g)
+
+    def test_dense_factor_draws(self):
+        # the dense-factors benchmark's distribution: connected G(n, 0.15), n = 24..28
+        rng = random.Random(1717)
+        for _ in range(500):
+            g = random_connected_graph(rng, rng.randint(24, 28), 0.15)
+            assert max_solves(g) == max_references(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(1718)
+        isolated = 0
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(0, 20), rng.uniform(0.05, 0.9))
+            isolated += not all(g.adj)
+            assert max_solves(g) == max_references(g)
+        assert isolated > 100
+
+
 class TestFrontierPlan:
     def test_slots_hold_the_frontier(self):
         """At every step the plan names the frontier's neighbours, in slots below the width."""
@@ -519,6 +575,11 @@ class TestLimits:
             independent_domination_number(
                 g, SolverLimits(vertex_cap=64, budget_secs=0.01)
             )
+        # alpha and rho each take over 3 s on this sparse 120-vertex instance
+        g = random_graph(random.Random(13), 120, 0.025)
+        for solver in (independence_number, two_packing_number):
+            with pytest.raises(BudgetExhausted):
+                solver(g, SolverLimits(vertex_cap=120, budget_secs=0.01))
 
     def test_searches_do_not_recurse(self):
         # each search keeps its own stack: 600 vertices deep under a limit of 200
@@ -528,12 +589,15 @@ class TestLimits:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            result = independent_domination_number(matching, limits)
+            solvers = (independent_domination_number, independence_number, two_packing_number)
+            results = [solve(matching, limits) for solve in solvers]
             first = next(enumerate_maximal_independent_sets(matching, limits))
             _, labelled = minimize_weight(build_family("kbip:1,299"), 3, limits)
         finally:
             sys.setrecursionlimit(limit)
-        assert result.value == 300 and result.witness.members() == evens
+        # a matching is its own square, so rho's answer is alpha's
+        for result in results:
+            assert result.value == 300 and result.witness.members() == evens
         assert first.members() == evens
         assert labelled == 3
 

@@ -84,6 +84,19 @@ class TestWeight:
         with pytest.raises(ValueError, match="string"):
             Labelling.from_strings(4, labels)
 
+    def test_from_strings_reads_the_printed_tokens(self):
+        lab = Labelling.from_strings(3, ["0", "1", "2", "3", "[n]"])
+        assert lab.tags == (0, 1, 2, 3, 4)
+        assert Labelling.from_strings(12, ["10", "12", "0"]).tags == (10, 12, 0)
+
+    @pytest.mark.parametrize(
+        "token", ["+1", " 1", "1 ", "01", "00", "-0", "", "\u0661", "\u00b2", "4", "10", "[3]"]
+    )
+    def test_from_strings_refuses_other_tokens(self, token):
+        # int() reads the first six as class 1 or 0, and "4" as [n]'s tag for n = 3
+        with pytest.raises(ValueError, match="unknown label token"):
+            Labelling.from_strings(3, ["1", token])
+
 
 class TestConstructedSets:
     def test_c16_figure_gives_maximal_independent_set_of_size_11(self):
