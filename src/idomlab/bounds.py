@@ -350,17 +350,3 @@ def bound_rhs(
     if bound.gate(left, right) is not None:
         return None
     return _right_side(bound, _Profile(left, right, limits))[0]
-
-
-def parse_pair_manifest(text: str) -> list[tuple[str, str]]:
-    """Parse a manifest with one whitespace-separated family-spec pair per line."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two family specs, got {raw!r}")
-        pairs.append((parts[0], parts[1]))
-    return pairs

@@ -26,7 +26,6 @@ from .bounds import (
     evaluate_pair_bound,
     evaluate_pair_bounds,
     k2_sandwich,
-    parse_pair_manifest,
 )
 from .families import (
     build_family,
@@ -39,6 +38,7 @@ from .families import (
 )
 from .formats import (
     Certificate,
+    parse_pair_manifest,
     read_certificates,
     read_graphs,
     verify_certificate,

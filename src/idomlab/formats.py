@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .bounds import bound_rhs
 from .families import build_family
@@ -33,17 +33,26 @@ from .products import check_row_bytes, direct_product
 # ---------------------------------------------------------------------------
 
 
+def _records(text: str, expected: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield ``(line number, line, fields)`` for each record of two-field text.
+
+    ``#`` starts a comment and blank lines are skipped; a line without
+    exactly two whitespace-separated fields is an error naming ``expected``.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
+        yield lineno, raw, parts
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; parse errors carry the offending line number."""
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
+    for lineno, raw, parts in _records(text, "two integers"):
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
@@ -64,6 +73,11 @@ def parse_edge_list(text: str) -> Graph:
         return build_graph(n, edges)
     except ValueError as exc:
         raise ValueError(f"bad edge list: {exc}") from None
+
+
+def parse_pair_manifest(text: str) -> list[tuple[str, str]]:
+    """Parse a manifest with one whitespace-separated family-spec pair per line."""
+    return [(left, right) for _, _, (left, right) in _records(text, "two family specs")]
 
 
 def format_edge_list(graph: Graph) -> str:
@@ -196,7 +210,8 @@ def parse_pattern(text: str, n: int, expect_length: Optional[int] = None) -> Lab
     or ``[n]``.
     """
     stripped = text.strip()
-    tags: list[int] = []
+    groups: list[tuple[list[int], int]] = []
+    length = 0
     pos = 0
     while pos < len(stripped):
         match = _GROUP_RE.match(stripped, pos)
@@ -219,12 +234,15 @@ def parse_pattern(text: str, n: int, expect_length: Optional[int] = None) -> Lab
             if value > n:
                 raise ValueError(f"class {value} exceeds the clique order {n}")
             group_tags.append(value)
-        tags.extend(group_tags * repeat)
+        groups.append((group_tags, repeat))
+        length += len(group_tags) * repeat
         pos = match.end()
-    if expect_length is not None and len(tags) != expect_length:
-        raise ValueError(
-            f"pattern expands to {len(tags)} labels but {expect_length} were expected"
-        )
+    # checked before expanding, so a large exponent cannot allocate first
+    if expect_length is not None and length != expect_length:
+        raise ValueError(f"pattern expands to {length} labels but {expect_length} were expected")
+    tags: list[int] = []
+    for group_tags, repeat in groups:
+        tags.extend(group_tags * repeat)
     return Labelling(n, tuple(tags))
 
 

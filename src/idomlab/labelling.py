@@ -261,8 +261,8 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # only ever open class ``c + 1`` after class ``c`` has been used
 # (first-occurrence canonical form); this collapses the n! label symmetry.
 # Conditions 1 and 3 are monotone and checked as each edge completes;
-# conditions 2 and 4 are only decidable once a vertex's closed neighbourhood
-# is fully labelled, so they are checked at exactly that point.
+# conditions 2 and 4 are only decided once a vertex's closed neighbourhood
+# is fully labelled.
 #
 # The branch-and-bound (``_search_min_weight``) tries tags in that order and
 # cuts a branch once its weight reaches the best found, so one pass finds the
@@ -278,16 +278,20 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # seen one class ``c``, one that can take [n] or another class; or, for a 0
 # vertex that has seen none, one that can take [n] or two that can take a
 # class.  After a vertex ``v`` is tagged, the branch is cut when such a need
-# has no candidate.  Only ``v``, its tagged neighbours and, after a nonzero
-# tag, the tagged neighbours of its untagged neighbours can have lost a
-# candidate, and of those only the ones whose closed neighbourhood stays
-# open past ``v + 1`` are checked (the completion check catches the rest at
-# ``v + 1``); on a path that set is always empty.  The options only shrink
-# as more vertices are tagged, so a cut branch holds no legal labelling: the
-# search reaches the same legal leaves in the same order and returns the
-# same least optimum.  On dense graphs, where a vertex's neighbourhood
-# completes only near the last vertex, this is what bounds the search:
-# ``cocktail:8`` x K_4 takes 106 nodes instead of 49,475.
+# has no candidate.  This one predicate is the search's only test of
+# conditions 2 and 4: it checks each vertex once its closed neighbourhood is
+# tagged, when no untagged neighbour is left and the predicate is the
+# condition itself, and keeps checking it while the neighbourhood stays
+# open.  Only ``v``, its tagged neighbours and, after a nonzero tag, the
+# tagged neighbours of its untagged neighbours can have lost a candidate;
+# of those, the ones whose closed neighbourhood completes at ``v + 1`` wait
+# for that step, so on a path each step checks just the vertex whose
+# neighbourhood it completes.  The options only shrink as more vertices are
+# tagged, so a cut branch holds no legal labelling: the search reaches the
+# legal leaves in order and returns the least optimum.  On dense graphs,
+# where a vertex's neighbourhood completes only near the last vertex, this
+# is what bounds the search: ``cocktail:8`` x K_4 takes 106 nodes instead
+# of 49,475.
 #
 # The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
 # vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
@@ -449,28 +453,27 @@ def _search_min_weight(
     special = special_tag(n)
     below = tuple(adj[v] & ((1 << v) - 1) for v in range(m))
     # vertices whose closed neighbourhood completes when v receives its tag
-    finished_at: list[list[int]] = [[] for _ in range(m)]
     ending = [0] * (m + 1)
     for u, end in enumerate(last):
-        finished_at[end].append(u)
         ending[end] |= 1 << u
-    # The look-ahead checks, once v is tagged, the vertices whose need or
-    # whose helpers v's tag can change and whose closed neighbourhood stays
-    # open past v + 1: ``quiet[v]`` after tag 0 (v and its tagged
-    # neighbours), ``loud[v]`` after a nonzero tag (also the tagged
-    # neighbours of v's untagged neighbours, whose options it narrows).
+    # Once v is tagged, the look-ahead checks the vertices whose closed
+    # neighbourhood completes at v, and those whose need or whose helpers v's
+    # tag can change and whose closed neighbourhood stays open past v + 1:
+    # ``quiet[v]`` after tag 0 (v and its tagged neighbours), ``loud[v]``
+    # after a nonzero tag (also the tagged neighbours of v's untagged
+    # neighbours, whose options it narrows).
     quiet = [0] * m
     loud = [0] * m
     late = 0  # vertices up to v whose closed neighbourhood is open past v + 1
     for v in range(m):
         late = (late | 1 << v) & ~(ending[v] | ending[v + 1])
-        if late:
-            done = (2 << v) - 1
-            near = (1 << v) | below[v]
-            quiet[v] = near & late
-            for w in _bits_of(adj[v] & ~done):
-                near |= adj[w] & done
-            loud[v] = near & late
+        checked = late | ending[v]
+        done = (2 << v) - 1
+        near = (1 << v) | below[v]
+        quiet[v] = near & checked
+        for w in _bits_of(adj[v] & ~done):
+            near |= adj[w] & done
+        loud[v] = near & checked
 
     # start above a labelling that always exists: every non-isolated vertex
     # in class 1, isolated vertices labelled [n]
@@ -478,43 +481,25 @@ def _search_min_weight(
     best_weight = weight(Labelling(n, start_tags)) + 1
     best_tags: tuple[int, ...] = ()
 
+    # ``by_tag[t]`` holds the vertices tagged ``t``.  Its bits above the
+    # vertex last tagged may be left from an abandoned branch, so every read
+    # is intersected with the tagged vertices (``done``) or with ``below``.
     tags = [0] * m
+    by_tag = [0] * (special + 1)
 
-    def neighbourhood_ok(u: int) -> bool:
-        """Conditions 2 and 4 for ``u`` once its closed neighbourhood is labelled."""
-        tag = tags[u]
-        if 1 <= tag <= n:
-            for w in _bits_of(adj[u]):
-                if tags[w] == tag:
-                    return True
-            return False
-        if tag == 0:
-            first_class = 0
-            for w in _bits_of(adj[u]):
-                t = tags[w]
-                if t == special:
-                    return True
-                if 1 <= t <= n and t != first_class:
-                    if first_class:
-                        return True
-                    first_class = t
-            return False
-        return True
-
-    def stuck(u: int, done: int, by_tag: list[int]) -> bool:
+    def stuck(u: int, done: int) -> bool:
         """True when no tags of ``u``'s untagged neighbours can meet its condition 2 or 4.
 
-        ``done`` holds the tagged vertices and ``by_tag[t]`` those tagged
-        ``t``.  An untagged ``w`` can take only 0 beside an [n] or two
-        classes, 0 or ``c`` beside one class ``c``, and any class (or [n], if
-        allowed) beside no nonzero tag.
+        ``done`` holds the tagged vertices.  An untagged ``w`` can take only
+        0 beside an [n] or two classes, 0 or ``c`` beside one class ``c``,
+        and any class (or [n], if allowed) beside no nonzero tag.  With no
+        untagged neighbour left, this is the plain test of condition 2 or 4.
         """
         tag = tags[u]
         if tag == special:
             return False
-        nonzero = done & ~by_tag[0]
-        layered = by_tag[special]
         row = adj[u]
+        nonzero = done & ~by_tag[0]
         later = row & ~done
         if tag:
             mine = by_tag[tag]
@@ -526,6 +511,7 @@ def _search_min_weight(
                     return False
             return True
         seen = row & nonzero
+        layered = by_tag[special] & done
         if seen & layered:
             return False
         if seen:
@@ -567,41 +553,27 @@ def _search_min_weight(
         if partial >= best_weight:
             continue
         if v >= 0:
+            bit = 1 << v
+            by_tag[tags[v]] &= ~bit
+            by_tag[tag] |= bit
             tags[v] = tag
-            # closed neighbourhoods completed at v
-            ok = True
-            for u in finished_at[v]:
-                if not neighbourhood_ok(u):
-                    ok = False
-                    break
-            if not ok:
-                continue
+            done = (bit << 1) - 1
+            # cut the branch at the first stuck vertex of the check set
             check = loud[v] if tag else quiet[v]
+            while check and not stuck((check & -check).bit_length() - 1, done):
+                check &= check - 1
             if check:
-                by_tag = [0] * (special + 1)
-                for u in range(v + 1):
-                    by_tag[tags[u]] |= 1 << u
-                done = (2 << v) - 1
-                for u in _bits_of(check):
-                    if stuck(u, done, by_tag):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+                continue
         v += 1
         if v == m:
             best_weight, best_tags = partial, tuple(tags)
             continue
         # monotone legality against already-labelled neighbours: ``seen`` is
         # their one nonzero tag, 0 if there is none, -1 if there are several
-        seen = 0
-        for w in _bits_of(below[v]):
-            t = tags[w]
-            if t and t != seen:
-                if seen:
-                    seen = -1
-                    break
-                seen = t
+        beside = below[v] & ~by_tag[0]
+        seen = tags[(beside & -beside).bit_length() - 1] if beside else 0
+        if beside & ~by_tag[seen]:
+            seen = -1
         # pushed in reverse, so tags come off in the order 0 < classes < [n]
         if allow_layer_label and seen == 0 and partial + n < best_weight:
             stack.append((v, special, partial + n, used))
@@ -634,9 +606,10 @@ def minimize_weight(
     branch-and-bound, whose time is exponential in the order.  Once a vertex
     is tagged, the branch-and-bound cuts the branch when some tagged vertex
     can no longer meet condition 2 or 4 from the tags its untagged
-    neighbours may still take; such a branch holds no legal labelling, so
-    the cut changes the work, not the result.  Both routes read the budget at every
-    step and return the same labelling.
+    neighbours may still take, or, once it has none left, does not meet it;
+    that one test checks both conditions, and a branch it cuts holds no
+    legal labelling.  Both routes read the budget at every step and return
+    the same labelling.
     """
     if n < 2:
         raise ValueError("the complete factor must have order at least 2")

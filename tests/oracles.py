@@ -3,9 +3,11 @@
 Everything here enumerates subsets or assignments directly and never calls
 the branch-and-bound code paths it is used to check, except the score-carrying
 frontier DP, which reads the solver's frontier plan (checked on its own by
-``TestFrontierPlan``), and the reference maximum independent set search,
+``TestFrontierPlan``), the reference maximum independent set search,
 which reads the solver's clique-cover bound (checked on its own by
-``test_clique_cover_bound_is_the_plain_greedy_cover``).
+``test_clique_cover_bound_is_the_plain_greedy_cover``), and the reference
+labelling search, the solver's own branch-and-bound in an earlier form, kept
+to compare node counts as well as results.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from typing import Iterator
 
-from idomlab.graph import Graph, VertexSet
+from idomlab.graph import Graph, VertexSet, _bits_of
 from idomlab.invariants import _Deadline, _clique_cover_bound
+from idomlab.labelling import Labelling, special_tag, weight
 
 
 def subsets(n: int):
@@ -358,3 +361,184 @@ def reference_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, i
         stack.append((chosen, candidates & ~v_bit))
         stack.append((chosen | v_bit, candidates & ~closed[v]))
     return best, witness
+
+
+# The labelling branch-and-bound as it stood when conditions 2 and 4 had
+# two checks: ``neighbourhood_ok`` once a vertex's closed neighbourhood is
+# tagged, and the look-ahead ``stuck`` before that.  It is the reference for
+# the search's labellings and node counts.
+
+
+def reference_search_min_weight(
+    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool, last: list[int]
+) -> tuple[tuple[int, ...], int]:
+    """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound.
+
+    ``last`` is ``_last_neighbours(adj)``.
+    """
+    m = len(adj)
+    special = special_tag(n)
+    below = tuple(adj[v] & ((1 << v) - 1) for v in range(m))
+    # vertices whose closed neighbourhood completes when v receives its tag
+    finished_at: list[list[int]] = [[] for _ in range(m)]
+    ending = [0] * (m + 1)
+    for u, end in enumerate(last):
+        finished_at[end].append(u)
+        ending[end] |= 1 << u
+    # The look-ahead checks, once v is tagged, the vertices whose need or
+    # whose helpers v's tag can change and whose closed neighbourhood stays
+    # open past v + 1: ``quiet[v]`` after tag 0 (v and its tagged
+    # neighbours), ``loud[v]`` after a nonzero tag (also the tagged
+    # neighbours of v's untagged neighbours, whose options it narrows).
+    quiet = [0] * m
+    loud = [0] * m
+    late = 0  # vertices up to v whose closed neighbourhood is open past v + 1
+    for v in range(m):
+        late = (late | 1 << v) & ~(ending[v] | ending[v + 1])
+        if late:
+            done = (2 << v) - 1
+            near = (1 << v) | below[v]
+            quiet[v] = near & late
+            for w in _bits_of(adj[v] & ~done):
+                near |= adj[w] & done
+            loud[v] = near & late
+
+    # start above a labelling that always exists: every non-isolated vertex
+    # in class 1, isolated vertices labelled [n]
+    start_tags = tuple(1 if adj[v] else special for v in range(m))
+    best_weight = weight(Labelling(n, start_tags)) + 1
+    best_tags: tuple[int, ...] = ()
+
+    tags = [0] * m
+
+    def neighbourhood_ok(u: int) -> bool:
+        """Conditions 2 and 4 for ``u`` once its closed neighbourhood is labelled."""
+        tag = tags[u]
+        if 1 <= tag <= n:
+            for w in _bits_of(adj[u]):
+                if tags[w] == tag:
+                    return True
+            return False
+        if tag == 0:
+            first_class = 0
+            for w in _bits_of(adj[u]):
+                t = tags[w]
+                if t == special:
+                    return True
+                if 1 <= t <= n and t != first_class:
+                    if first_class:
+                        return True
+                    first_class = t
+            return False
+        return True
+
+    def stuck(u: int, done: int, by_tag: list[int]) -> bool:
+        """True when no tags of ``u``'s untagged neighbours can meet its condition 2 or 4.
+
+        ``done`` holds the tagged vertices and ``by_tag[t]`` those tagged
+        ``t``.  An untagged ``w`` can take only 0 beside an [n] or two
+        classes, 0 or ``c`` beside one class ``c``, and any class (or [n], if
+        allowed) beside no nonzero tag.
+        """
+        tag = tags[u]
+        if tag == special:
+            return False
+        nonzero = done & ~by_tag[0]
+        layered = by_tag[special]
+        row = adj[u]
+        later = row & ~done
+        if tag:
+            mine = by_tag[tag]
+            if row & mine & done:
+                return False
+            barred = nonzero & ~mine  # beside these, w cannot take class tag
+            for w in _bits_of(later):
+                if not adj[w] & barred:
+                    return False
+            return True
+        seen = row & nonzero
+        if seen & layered:
+            return False
+        if seen:
+            c = tags[(seen & -seen).bit_length() - 1]
+            if seen & ~by_tag[c]:
+                return False
+            # w must take [n] or a class other than c
+            for w in _bits_of(later):
+                beside = adj[w] & nonzero
+                if not beside:
+                    return False
+                if beside & layered:
+                    continue
+                d = tags[(beside & -beside).bit_length() - 1]
+                if d != c and not beside & ~by_tag[d]:
+                    return False
+            return True
+        # one w must take [n], or two must take a class
+        free = 0
+        for w in _bits_of(later):
+            beside = adj[w] & nonzero
+            if not beside:
+                if allow_layer_label:
+                    return False
+            elif beside & layered or beside & ~by_tag[tags[(beside & -beside).bit_length() - 1]]:
+                continue
+            free += 1
+            if free == 2:
+                return False
+        return True
+
+    # An entry (v, tag, partial, used) gives vertex v its tag.  It reads only
+    # tags of vertices up to v, which still hold those of the path that pushed
+    # it, so the one ``tags`` list is shared and never reset.
+    stack = [(-1, 0, 0, 0)]  # the root: no vertex tagged yet
+    while stack:
+        deadline.tick()
+        v, tag, partial, used = stack.pop()
+        if partial >= best_weight:
+            continue
+        if v >= 0:
+            tags[v] = tag
+            # closed neighbourhoods completed at v
+            ok = True
+            for u in finished_at[v]:
+                if not neighbourhood_ok(u):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            check = loud[v] if tag else quiet[v]
+            if check:
+                by_tag = [0] * (special + 1)
+                for u in range(v + 1):
+                    by_tag[tags[u]] |= 1 << u
+                done = (2 << v) - 1
+                for u in _bits_of(check):
+                    if stuck(u, done, by_tag):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+        v += 1
+        if v == m:
+            best_weight, best_tags = partial, tuple(tags)
+            continue
+        # monotone legality against already-labelled neighbours: ``seen`` is
+        # their one nonzero tag, 0 if there is none, -1 if there are several
+        seen = 0
+        for w in _bits_of(below[v]):
+            t = tags[w]
+            if t and t != seen:
+                if seen:
+                    seen = -1
+                    break
+                seen = t
+        # pushed in reverse, so tags come off in the order 0 < classes < [n]
+        if allow_layer_label and seen == 0 and partial + n < best_weight:
+            stack.append((v, special, partial + n, used))
+        if partial + 1 < best_weight:
+            for c in range(min(used + 1, n), 0, -1):
+                if seen == 0 or seen == c:
+                    stack.append((v, c, partial + 1, max(used, c)))
+        stack.append((v, 0, partial, used))
+    return best_tags, best_weight

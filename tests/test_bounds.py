@@ -301,13 +301,13 @@ class TestCounterexampleFamilyBrackets:
 
 class TestManifestScan:
     def test_manifest_pairs(self):
-        from idomlab.bounds import parse_pair_manifest
+        from idomlab.formats import parse_pair_manifest
 
         pairs = parse_pair_manifest("path:7 cycle:6\ncomplete:2 complete:2  # tiny\n")
         assert pairs == [("path:7", "cycle:6"), ("complete:2", "complete:2")]
 
     def test_manifest_errors(self):
-        from idomlab.bounds import parse_pair_manifest
+        from idomlab.formats import parse_pair_manifest
 
         with pytest.raises(ValueError, match="line 1"):
             parse_pair_manifest("path:7 cycle:6 extra")

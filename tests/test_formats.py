@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -157,6 +158,17 @@ class TestPatternSyntax:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="expands to 6"):
             parse_pattern("(1,1)^3", 3, 5)
+
+    def test_length_checked_before_expanding(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                parse_pattern("(1,1)^1000000", 3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "pattern expands to 2000000 labels but 5 were expected"
+        assert peak < 1 << 20
 
     def test_unknown_token(self):
         with pytest.raises(ValueError, match="unknown pattern token"):

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -7,6 +8,7 @@ from idomlab.families import build_family, make_complete, make_cycle, make_path
 from idomlab.graph import build_graph
 from idomlab.invariants import (
     SolverLimits,
+    _last_neighbours,
     enumerate_maximal_independent_sets,
     independent_domination_number,
     is_dominating,
@@ -25,11 +27,17 @@ from idomlab.labelling import (
     weight,
 )
 from idomlab.products import direct_product
-from idomlab.smallgraphs import all_graphs, random_graph
+from idomlab.smallgraphs import all_graphs, random_connected_graph, random_graph
 
-from oracles import brute_least_labelling, brute_min_weight_labelling
+from oracles import brute_least_labelling, brute_min_weight_labelling, reference_search_min_weight
 
 FIGURE_PATTERN = (1, 1, 0, 2, 2, 0, 1, 1, 0, 2, 2, 0, 3, 3, 3, 0)
+
+
+@cache
+def small_graphs(order):
+    """``all_graphs(order)``, enumerated once: several tests sweep the same orders."""
+    return tuple(all_graphs(order))
 
 
 class TestLegality:
@@ -188,14 +196,14 @@ class TestMinimizeWeight:
         assert weight(lab) == value
 
     def test_agrees_with_bruteforce_enumeration(self):
-        for g in all_graphs(4):
+        for g in small_graphs(4):
             for n in (2, 3):
                 assert minimize_weight(g, n)[1] == brute_min_weight_labelling(g, n)
 
     def test_least_canonical_labelling_on_all_small_graphs(self):
         """The branch-and-bound, forced; the DP has its own brute-force test."""
         for order in range(7):
-            for g in all_graphs(order):
+            for g in small_graphs(order):
                 for n in (2, 3, 4) if order <= 5 else (2, 3):
                     lab, value = routed("search", g, n)
                     assert (value, lab.tags) == brute_least_labelling(g, n)
@@ -287,7 +295,7 @@ class TestFrontierDP:
     def test_matches_branch_and_bound_up_to_order_six(self, allow_layer_label):
         refused = 0
         for order in range(7):
-            for g in all_graphs(order):
+            for g in small_graphs(order):
                 for n in (2, 3, 4):
                     dp = routed("dp", g, n, allow_layer_label)
                     assert dp == routed("search", g, n, allow_layer_label)
@@ -308,7 +316,7 @@ class TestFrontierDP:
 
     def test_matches_brute_force_least_labelling(self):
         for order in range(6):
-            for g in all_graphs(order):
+            for g in small_graphs(order):
                 for n in (2, 3, 4):
                     lab, value = routed("dp", g, n)
                     assert (value, lab.tags) == brute_least_labelling(g, n)
@@ -367,8 +375,59 @@ KN_DENSE_FACTORS = (
 )
 
 
+def search_cases():
+    """``(graph, n, allow_layer_label)`` for the differential test of the search.
+
+    Every graph up to order six, seeded random connected graphs of order 7
+    to 12, the dense kn-route factors, and paths and cycles of 3 to 10
+    vertices.  Without [n], graphs with an isolated vertex are left out:
+    ``minimize_weight`` refuses them before it searches.
+    """
+    for order in range(7):
+        for g in small_graphs(order):
+            for n in (2, 3, 4):
+                yield g, n, True
+                if all(g.adj):
+                    yield g, n, False
+    rng = random.Random(1763)
+    for _ in range(600):
+        g = random_connected_graph(rng, rng.randint(7, 12), rng.uniform(0.25, 0.6))
+        yield g, rng.choice((2, 3, 4)), rng.random() < 0.5
+    for spec in KN_DENSE_FACTORS:
+        for n in (3, 4):
+            yield build_family(spec), n, True
+    for m in range(3, 11):
+        for g in (make_path(m), make_cycle(m)):
+            for n in (2, 3, 4):
+                yield g, n, True
+
+
+class CountingDeadline(labelling._Deadline):
+    """A deadline with no budget that counts its reads."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
 class TestSearch:
-    """The branch-and-bound with its look-ahead, on dense factors."""
+    """The branch-and-bound with its look-ahead."""
+
+    def test_matches_the_reference_search(self):
+        """Same labelling, weight and node count as the search with two need checks."""
+        cases = 0
+        for g, n, allow_layer_label in search_cases():
+            runs = []
+            for search in (labelling._search_min_weight, reference_search_min_weight):
+                deadline = CountingDeadline()
+                found = search(deadline, g.adj, n, allow_layer_label, _last_neighbours(g.adj))
+                runs.append((found, deadline.ticks))
+            assert runs[0] == runs[1], (g.adj, n, allow_layer_label)
+            cases += 1
+        assert cases == 1769
 
     @pytest.mark.parametrize("spec", KN_DENSE_FACTORS)
     def test_dense_factors_match_the_product(self, spec):
