@@ -335,13 +335,6 @@ def evaluate_pair_bounds(
     ]
 
 
-def evaluate_pair_bound(
-    bound_id: str, left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
-) -> list[BoundReport]:
-    """Evaluate one named bound (or one conjecture relation) on a factor pair."""
-    return evaluate_pair_bounds((bound_id,), left, right, limits)
-
-
 def bound_rhs(
     bound_id: str, left: Graph, right: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> Optional[int]:

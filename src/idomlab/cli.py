@@ -21,17 +21,13 @@ from typing import Any, Iterable, Optional, Sequence
 # SOLVERS is read through its module: bench/tracer.py wraps the solvers in
 # every dict a module binds, so a second binding would wrap them twice
 from . import invariants
-from .bounds import (
-    BOUND_IDS,
-    evaluate_pair_bound,
-    evaluate_pair_bounds,
-    k2_sandwich,
-)
+from .bounds import BOUND_IDS, BoundReport, evaluate_pair_bounds, k2_sandwich
 from .families import (
     build_family,
     build_family_with_witness,
     counterexample_product,
     extreme_product,
+    family_size,
     make_complete,
     make_complete_bipartite,
     parse_family,
@@ -219,10 +215,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 if total <= limits.vertex_cap:
                     cross = independent_domination_number(direct_product(graph, right).graph, limits)
                     if cross.value != value:
-                        raise AssertionError(
+                        _note(
                             f"weight minimizer ({value}) and product solver "
                             f"({cross.value}) disagree"
                         )
+                        return EXIT_MISMATCH
                     _note(f"cross-check against the product solver agreed: {value}")
             else:
                 product = direct_product(graph, right)
@@ -484,37 +481,25 @@ _BOUNDS4 = (
 )
 
 
-def _bounds4_task(
-    payload: tuple[SolverLimits, tuple[int, ...], tuple[int, ...]]
-) -> tuple[int, int, int]:
-    limits, left_rows, right_rows = payload
-    left = Graph(len(left_rows), left_rows)
-    right = Graph(len(right_rows), right_rows)
-    applicable = 0
-    violations = 0
-    for report in evaluate_pair_bounds(_BOUNDS4, left, right, limits):
-        if report.applicable:
-            applicable += 1
-            if not report.holds:
-                violations += 1
-    return applicable, violations, left.n * right.n
-
-
 def _reproduce_bounds4(args: argparse.Namespace) -> list[dict[str, Any]]:
     limits = _limits(args, 36)
     rng = Random(44)
     payloads = []
     for _ in range(500):
         left, right = _sample_bound_pair(rng)
-        payloads.append((limits, left.adj, right.adj))
-    results = list(_imap_tasks(_bounds4_task, payloads, args.workers))
-    applicable = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
+        payloads.append((_BOUNDS4, limits, left.adj, right.adj))
+    applicable = [
+        report
+        for reports in _imap_tasks(_pair_reports, payloads, args.workers)
+        for report in reports
+        if report.applicable
+    ]
+    violations = sum(not report.holds for report in applicable)
     return [
         {
             "target": "bounds4",
             "pairs": len(payloads),
-            "applicable_evaluations": applicable,
+            "applicable_evaluations": len(applicable),
             "violations": violations,
             "status": "ok" if violations == 0 else "MISMATCH",
         }
@@ -571,6 +556,9 @@ def _reproduce_thm12(args: argparse.Namespace) -> list[dict[str, Any]]:
     if n < 1:
         raise SystemExit("--n must be positive")
     limits = _limits(args, 34)
+    specs = (f"Gn:{n}", f"Hn:{n}")
+    # refuse an oversized product before building either factor
+    check_product_order(*(family_size(parse_family(spec))[0] for spec in specs))
 
     product, witness = extreme_product(n)
     witness_ok = is_maximal_independent(product.graph, witness)
@@ -582,7 +570,7 @@ def _reproduce_thm12(args: argparse.Namespace) -> list[dict[str, Any]]:
         "witness_verified": witness_ok,
     }
     exact_ok = True
-    for side, spec in (("left", f"Gn:{n}"), ("right", f"Hn:{n}")):
+    for side, spec in zip(("left", "right"), specs):
         graph, factor_witness = build_family_with_witness(spec)
         factor_ok = factor_witness is not None and is_maximal_independent(graph, factor_witness)
         row[f"{side}_witness_size"] = len(factor_witness) if factor_witness else None
@@ -629,28 +617,6 @@ def _reproduce(args: argparse.Namespace) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-def _search_task(
-    payload: tuple[str, SolverLimits, tuple[int, ...], tuple[int, ...]]
-) -> dict[str, Any]:
-    bound_id, limits, left_rows, right_rows = payload
-    left = Graph(len(left_rows), left_rows)
-    right = Graph(len(right_rows), right_rows)
-    try:
-        reports = evaluate_pair_bound(bound_id, left, right, limits)
-    except _RESOURCE_FAILURES:
-        return {"error": "budget"}
-    report = reports[0]
-    if report.applicable and report.holds is None:
-        # a conjecture relation reports a solve above the cap as unchecked
-        return {"error": "budget"}
-    return {
-        "violation": report.applicable and report.holds is False,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "verdict": report.verdict(),
-    }
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     bound_id = args.bound
     if bound_id not in BOUND_IDS:
@@ -673,36 +639,37 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("search needs --graph-file (graph6 corpus) or --pairs-file")
 
-    deadline = None
-    if args.budget_secs is not None:
-        deadline = perf_counter() + args.budget_secs
     # each solve gets the whole budget, and the scan stops at the first pair
     # after the budget has run out
-    limits = SolverLimits(vertex_cap=args.cap, budget_secs=args.budget_secs)
-    payloads = [(bound_id, limits, left.adj, right.adj) for _, _, left, right in pairs]
+    deadline = invariants._Deadline(args.budget_secs)
+    payloads = [((bound_id,), _limits(args), left.adj, right.adj) for _, _, left, right in pairs]
     rows: list[dict[str, Any]] = []
     violations = 0
     done = 0  # pairs evaluated; a pair whose solve fails on the cap or the budget is not
 
-    for index, result in enumerate(_imap_tasks(_search_task, payloads, args.workers)):
-        if result.get("error") == "budget":
-            break
-        done = index + 1
-        name_left, name_right, _, _ = pairs[index]
-        if result["violation"]:
-            violations += 1
-        if result["violation"] or args.report_all:
-            rows.append(
-                {
-                    "bound_id": bound_id,
-                    "pair": f"{name_left} x {name_right}",
-                    "lhs": "" if result["lhs"] is None else result["lhs"],
-                    "rhs": "" if result["rhs"] is None else result["rhs"],
-                    "verdict": result["verdict"],
-                }
-            )
-        if deadline is not None and perf_counter() > deadline:
-            break
+    try:
+        for (name_left, name_right, _, _), (report,) in zip(
+            pairs, _imap_tasks(_pair_reports, payloads, args.workers)
+        ):
+            if report.applicable and report.holds is None:
+                # a conjecture relation reports a solve above the cap as unchecked
+                break
+            done += 1
+            violation = report.applicable and report.holds is False
+            violations += violation
+            if violation or args.report_all:
+                rows.append(
+                    {
+                        "bound_id": bound_id,
+                        "pair": f"{name_left} x {name_right}",
+                        "lhs": "" if report.lhs is None else report.lhs,
+                        "rhs": "" if report.rhs is None else report.rhs,
+                        "verdict": report.verdict(),
+                    }
+                )
+            deadline.tick()
+    except _RESOURCE_FAILURES:
+        pass  # the scan ends here; a pair whose solve failed is not counted
 
     partial = done < len(pairs)
     if partial:
@@ -719,6 +686,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # worker plumbing
 # ---------------------------------------------------------------------------
+
+
+def _pair_reports(
+    payload: tuple[Sequence[str], SolverLimits, tuple[int, ...], tuple[int, ...]]
+) -> list[BoundReport]:
+    """The named bounds' reports on a factor pair sent as bare adjacency rows.
+
+    The rows cross a process boundary, so the factors are rebuilt through the
+    checked ``Graph`` constructor.  A solve that runs out of cap or budget
+    raises, and the pool re-raises it at the pair's index.
+    """
+    bound_ids, limits, left_rows, right_rows = payload
+    left = Graph(len(left_rows), left_rows)
+    right = Graph(len(right_rows), right_rows)
+    return evaluate_pair_bounds(bound_ids, left, right, limits)
 
 
 def _imap_tasks(task, payloads: list, workers: int) -> Iterable:

@@ -12,7 +12,6 @@ from idomlab.bounds import (
     clawfree_bound,
     conjecture_scan,
     degree_ratio_bound,
-    evaluate_pair_bound,
     evaluate_pair_bounds,
     k2_sandwich,
     packing_total_bound,
@@ -215,13 +214,13 @@ class TestRandomApplicablePairs:
                 "clawfree-factor-lower",
                 "i-product-upper",
             ):
-                report = evaluate_pair_bound(bound_id, left, right, WIDE)[0]
+                report = evaluate_pair_bounds((bound_id,), left, right, WIDE)[0]
                 if report.applicable:
                     assert report.holds, (bound_id, left.edges(), right.edges())
 
     def test_unknown_bound_id(self):
         with pytest.raises(ValueError):
-            evaluate_pair_bound("no-such-bound", make_path(2), make_path(2), WIDE)
+            evaluate_pair_bounds(("no-such-bound",), make_path(2), make_path(2), WIDE)
 
 
 PUBLIC_BOUNDS = {

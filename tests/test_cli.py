@@ -179,6 +179,20 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err.strip() == "error: product would have 120000 vertices, above the limit of 100000"
 
+    def test_cross_check_disagreement_is_a_mismatch(self, capsys, monkeypatch):
+        solve = cli.minimize_weight
+
+        def off_by_one(graph, order, limits):
+            labelling, value = solve(graph, order, limits)
+            return labelling, value + 1
+
+        monkeypatch.setattr(cli, "minimize_weight", off_by_one)
+        code, out, err = run_cli(
+            capsys, "compute", "--graph", "path:4", "--product", "complete:3", "--invariant", "i"
+        )
+        assert code == 1 and out == ""
+        assert "disagree" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_shipped_bundle_verifies(self, capsys):
@@ -315,6 +329,13 @@ class TestReproduce:
         code, out, err = run_cli(capsys, "reproduce", "thm12", "--n", "3")
         assert code == 1 and json.loads(out)["status"] == "MISMATCH"
         assert err.startswith("thm12: 0/1 rows ok")
+
+    def test_thm12_oversized_product_refused_before_building(self, capsys):
+        started = perf_counter()
+        code, out, err = run_cli(capsys, "reproduce", "thm12", "--n", "100000")
+        assert perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: product would have ")
 
     def test_bounds4_passes_budget_to_solver(self, capsys, monkeypatch):
         from idomlab import bounds
@@ -563,11 +584,17 @@ class TestSearchEdgePaths:
     def test_pair_above_the_cap_is_not_done(self, capsys, tmp_path, bound, lines, done):
         manifest = tmp_path / "pairs.txt"
         manifest.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(capsys, "search", "--pairs-file", str(manifest), "--bound", bound)
-        assert code == 3
-        marker = json.loads(out.strip().splitlines()[-1])
-        assert marker == {"pairs_done": done, "pairs_total": 2, "partial_scan": True}
-        assert f"scanned {done}/2 pairs" in err
+        # with two workers a table bound's CapExceeded is raised in a worker
+        # process and has to surface at its own pair
+        for workers in ("1", "2"):
+            code, out, err = run_cli(
+                capsys, "search", "--pairs-file", str(manifest), "--bound", bound,
+                "--workers", workers,
+            )
+            assert code == 3, workers
+            marker = json.loads(out.strip().splitlines()[-1])
+            assert marker == {"pairs_done": done, "pairs_total": 2, "partial_scan": True}, workers
+            assert f"scanned {done}/2 pairs" in err, workers
 
     def test_budget_bounds_each_solve(self, capsys, tmp_path):
         manifest = tmp_path / "pairs.txt"

@@ -78,6 +78,6 @@ def test_parsed_graphs():
 def test_worker_rows_keep_the_full_check(rows):
     # the CLI's workers rebuild factors from bare rows, so they check them
     with pytest.raises(ValueError):
-        cli._bounds4_task((DEFAULT_LIMITS, rows, (0b10, 0b01)))
+        cli._pair_reports((("degree-ratio-lower",), DEFAULT_LIMITS, rows, (0b10, 0b01)))
     with pytest.raises(ValueError):
-        cli._search_task(("degree-ratio-lower", DEFAULT_LIMITS, (0b10, 0b01), rows))
+        cli._pair_reports((("degree-ratio-lower",), DEFAULT_LIMITS, (0b10, 0b01), rows))
