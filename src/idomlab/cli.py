@@ -621,6 +621,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     bound_id = args.bound
     if bound_id not in BOUND_IDS:
         raise SystemExit(f"unknown bound id {bound_id!r}; choose from {', '.join(BOUND_IDS)}")
+    if args.graph is not None or (args.pairs_file is None) == (args.graph_file is None):
+        raise SystemExit("search takes one of --graph-file and --pairs-file, and no --graph")
     pairs: list[tuple[str, str, Graph, Graph]] = []
     if args.pairs_file is not None:
         with open(args.pairs_file, "r", encoding="utf-8") as handle:
@@ -628,7 +630,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         pairs = [
             (left, right, build_family(left), build_family(right)) for left, right in manifest
         ]
-    elif args.graph_file is not None:
+    else:
         corpus = _read_graph_file(args)
         for i, (left, left_subject) in enumerate(corpus):
             for j in range(i, len(corpus)):
@@ -636,8 +638,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 name_left = left_subject.get("graph6", f"#{i}")
                 name_right = corpus[j][1].get("graph6", f"#{j}")
                 pairs.append((name_left, name_right, left, right))
-    else:
-        raise SystemExit("search needs --graph-file (graph6 corpus) or --pairs-file")
 
     # each solve gets the whole budget, and the scan stops at the first pair
     # after the budget has run out

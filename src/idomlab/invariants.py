@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
@@ -178,20 +179,9 @@ PREDICATES = {
 #      maximum, and reads ``best`` when an entry is popped, so no subtree
 #      holding an optimum is cut before the first optimum is reached;
 #   4. ``best`` starts where the cut spares every optimum: for a minimum at
-#      a known feasible size + 1, so an optimum of exactly that size is
-#      still reached in order, and for a maximum at -1, below every size.
+#      n + 1, above every size, and for a maximum at -1, below every size.
 # Every leaf that improves ``best`` is recorded; the first optimum reached is
 # the least one, and no later leaf improves on it.
-
-
-def _greedy_maximal_independent(adj: tuple[int, ...], n: int) -> int:
-    chosen = 0
-    banned = 0
-    for v in range(n):
-        if not (banned >> v) & 1:
-            chosen |= 1 << v
-            banned |= adj[v] | (1 << v)
-    return chosen
 
 
 def _propagate(
@@ -489,7 +479,10 @@ def _solve_min_cover(
     is at most ``_DP_MAX_WIDTH`` take the frontier DP; every other graph
     takes the branch-and-bound, which is as fast below 24 vertices and
     faster above width 6, where the DP's states multiply (the measured
-    crossover is in the comment on ``_DP_MIN_ORDER``).
+    crossover is in the comment on ``_DP_MIN_ORDER``).  The branch-and-bound
+    starts at ``best = n + 1`` with no feasible set in hand: for ``i`` its
+    first leaf is the greedy maximal independent set in index order, so a
+    greedy start would cut nothing more.
     """
     adj = graph.adj
     if graph.n >= _DP_MIN_ORDER:
@@ -501,9 +494,8 @@ def _solve_min_cover(
             return size, bits, "frontier-dp"
     coverage = tuple(row | (1 << v) for v, row in enumerate(adj)) if covers_self else adj
     conflict = adj if independent else (0,) * graph.n
-    feasible = _greedy_maximal_independent(adj, graph.n) if independent else graph.full_bits
     denom = max((row.bit_count() for row in coverage), default=1)
-    best = feasible.bit_count() + 1
+    best = graph.n + 1
 
     def cut(k: int, uncovered: int, rejected: int) -> bool:
         return k + (uncovered.bit_count() + denom - 1) // denom >= best
@@ -514,26 +506,35 @@ def _solve_min_cover(
     return best, witness, "branch-and-bound"
 
 
+def _exact(
+    name: str,
+    what: str,
+    graph: Graph,
+    limits: SolverLimits,
+    solve: Callable[[_Deadline], tuple[int, int, str]],
+) -> InvariantResult:
+    """Check ``graph`` against the cap, then run ``solve`` under the budget, timed.
+
+    ``solve`` takes the solve's ``_Deadline`` and returns ``(value, bits, method)``.
+    """
+    _require_cap(graph, limits, what)
+    started = perf_counter()
+    value, bits, method = solve(_Deadline(limits.budget_secs))
+    return InvariantResult(name, value, VertexSet(graph.n, bits), method, perf_counter() - started)
+
+
 def independent_domination_number(
     graph: Graph, limits: SolverLimits = DEFAULT_LIMITS
 ) -> InvariantResult:
     """Exact minimum size of a maximal independent set, with witness."""
-    _require_cap(graph, limits, "exact independent domination")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits, method = _solve_min_cover(graph, deadline, True, True)
-    return InvariantResult("i", value, VertexSet(graph.n, bits), method, perf_counter() - started)
+    solve = partial(_solve_min_cover, graph, independent=True, covers_self=True)
+    return _exact("i", "exact independent domination", graph, limits, solve)
 
 
 def domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
     """Exact minimum size of a dominating set, with witness."""
-    _require_cap(graph, limits, "exact domination")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits, method = _solve_min_cover(graph, deadline, False, True)
-    return InvariantResult(
-        "gamma", value, VertexSet(graph.n, bits), method, perf_counter() - started
-    )
+    solve = partial(_solve_min_cover, graph, independent=False, covers_self=True)
+    return _exact("gamma", "exact domination", graph, limits, solve)
 
 
 def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
@@ -542,15 +543,13 @@ def total_domination_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS)
     Undefined (raises :class:`UndefinedInvariant`) when the graph has an
     isolated vertex, since such a vertex can never acquire a neighbour.
     """
-    _require_cap(graph, limits, "exact total domination")
-    if graph.n == 0 or any(row == 0 for row in graph.adj):
-        raise UndefinedInvariant("total domination is undefined with isolated vertices")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits, method = _solve_min_cover(graph, deadline, False, False)
-    return InvariantResult(
-        "gamma_t", value, VertexSet(graph.n, bits), method, perf_counter() - started
-    )
+
+    def solve(deadline: _Deadline) -> tuple[int, int, str]:
+        if graph.n == 0 or any(row == 0 for row in graph.adj):
+            raise UndefinedInvariant("total domination is undefined with isolated vertices")
+        return _solve_min_cover(graph, deadline, independent=False, covers_self=False)
+
+    return _exact("gamma_t", "exact total domination", graph, limits, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +592,8 @@ def _clique_cover_bound(adj: tuple[int, ...], candidates: int) -> int:
     return len(cliques)
 
 
-def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]:
-    """Return ``(alpha(G), bits)`` with the lexicographically least witness.
+def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int, str]:
+    """Return ``(alpha(G), bits, method)`` with the lexicographically least witness.
 
     Runs the cover kernel on the ``i`` rows, whose leaves are the maximal
     independent sets, under a cut that mirrors the minimum covers': a node
@@ -612,18 +611,13 @@ def _solve_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, int]
     witness = 0
     for witness in _cover_leaves(graph.full_bits, deadline, closed, closed, adj, cut):
         best = witness.bit_count()
-    return best, witness
+    return best, witness, "branch-and-bound"
 
 
 def independence_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
     """Exact maximum size of an independent set, with witness."""
-    _require_cap(graph, limits, "exact independence number")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits = _solve_max_independent(graph, deadline)
-    return InvariantResult(
-        "alpha", value, VertexSet(graph.n, bits), "branch-and-bound", perf_counter() - started
-    )
+    solve = partial(_solve_max_independent, graph)
+    return _exact("alpha", "exact independence number", graph, limits, solve)
 
 
 def two_packing_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> InvariantResult:
@@ -631,13 +625,12 @@ def two_packing_number(graph: Graph, limits: SolverLimits = DEFAULT_LIMITS) -> I
 
     Computed as a maximum independent set of the square graph.
     """
-    _require_cap(graph, limits, "exact 2-packing")
-    started = perf_counter()
-    deadline = _Deadline(limits.budget_secs)
-    value, bits = _solve_max_independent(square_graph(graph), deadline)
-    return InvariantResult(
-        "rho", value, VertexSet(graph.n, bits), "square+branch-and-bound", perf_counter() - started
-    )
+
+    def solve(deadline: _Deadline) -> tuple[int, int, str]:
+        value, bits, method = _solve_max_independent(square_graph(graph), deadline)
+        return value, bits, "square+" + method
+
+    return _exact("rho", "exact 2-packing", graph, limits, solve)
 
 
 SOLVERS = {

@@ -65,6 +65,20 @@ class TestCompute:
         payload = json.loads(out.strip())
         assert payload["query"] == {"k": 6, "satisfied": True}
 
+    def test_certificate_rows_in_csv_and_human(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--graph", "path:4", "--out", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "claim,subject,invariant,value,verdict,witness",
+            'invariant_value,"{""family"":""path:4""}",i,2,verified,"[0,2]"',
+        ]
+        code, out, _ = run_cli(capsys, "compute", "--graph", "path:4", "--out", "human", "--k", "2")
+        assert code == 0
+        assert out == (
+            'claim=invariant_value  subject={"family":"path:4"}  invariant=i  value=2  '
+            'verdict=verified  witness=[0,2]  query={"k":2,"satisfied":true}\n'
+        )
+
     def test_graph_file_input(self, capsys, tmp_path):
         path = tmp_path / "triangle.edges"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -596,6 +610,31 @@ class TestSearchEdgePaths:
             assert marker == {"pairs_done": done, "pairs_total": 2, "partial_scan": True}, workers
             assert f"scanned {done}/2 pairs" in err, workers
 
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            ("--graph", "path:3"),
+            ("--graph-file", "{corpus}", "--format", "graph6"),
+        ],
+        ids=["graph", "graph-file"],
+    )
+    def test_second_input_beside_the_manifest_is_refused(self, capsys, tmp_path, inputs):
+        # each used to be ignored, leaving a scan of the manifest alone
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("X:3 cocktail:3\n")
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("A_\nBw\n")
+        code, out, err = run_cli(
+            capsys,
+            "search",
+            *(arg.format(corpus=corpus) for arg in inputs),
+            "--pairs-file", str(manifest),
+            "--bound", "factor-product-lower",
+            "--cap", "96",
+        )
+        assert code == 2 and out == ""
+        assert "--graph" in err
+
     def test_budget_bounds_each_solve(self, capsys, tmp_path):
         manifest = tmp_path / "pairs.txt"
         manifest.write_text("cycle:11 cycle:13\n")  # 143 vertices: no answer within seconds
@@ -669,6 +708,26 @@ class TestInputEdgePaths:
         assert perf_counter() - started < 1.0
         assert code == 2 and out == ""
         assert err.startswith(f"error: {refused}") and "bytes, above the limit of 67108864 bytes" in err
+
+    @pytest.mark.parametrize(
+        "argv, env_cap, code, message",
+        [
+            ("compute --graph path:4 --cap 0", None, 2, "--cap must be positive"),
+            ("compute --graph path:4", "0", 2, "IDOMLAB_CAP must be positive"),
+            ("compute --graph path:4 --workers -1", None, 2, "--workers must be at least 1"),
+            ("compute --graph path:4 --budget-secs 0", None, 2, "--budget-secs must be positive"),
+            ("reproduce thm12 --n 0", None, 2, "--n must be positive"),
+            ("reproduce table1 --budget-secs 1e-9", None, 3, "aborted: solver budget exhausted"),
+        ],
+        ids=["cap", "env-cap", "workers", "budget", "thm12-n", "table1-budget"],
+    )
+    def test_refused_setting_prints_only_its_reason(
+        self, capsys, monkeypatch, argv, env_cap, code, message
+    ):
+        monkeypatch.delenv("IDOMLAB_CAP", raising=False)
+        if env_cap is not None:
+            monkeypatch.setenv("IDOMLAB_CAP", env_cap)
+        assert run_cli(capsys, *argv.split()) == (code, "", message + "\n")
 
     def test_multi_graph_file_rejected_for_compute(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"

@@ -37,6 +37,7 @@ from idomlab.invariants import (
     two_packing_number,
     _Deadline,
     _clique_cover_bound,
+    _cover_leaves,
     _frontier_min_cover,
     _frontier_plan,
     _frontier_width,
@@ -201,6 +202,21 @@ class TestCanonicalWitnesses:
                 continue
             result = invariant(g, name)
             assert (result.value, result.witness.members()) == (len(expected), expected)
+
+    def test_first_i_leaf_is_the_greedy_maximal_independent_set(self):
+        # why a minimum cover's search starts at n + 1: for i a greedy start
+        # would cut nothing on the way to this leaf, and leave best the same after it
+        rng = random.Random(810)
+        for _ in range(500):
+            g = random_graph(rng, rng.randint(0, 30), rng.uniform(0.05, 0.6))
+            greedy = taken = 0
+            for v in range(g.n):
+                if not taken >> v & 1:
+                    greedy |= 1 << v
+                    taken |= g.adj[v] | 1 << v
+            rows = cover_rows(g, "i")
+            leaves = _cover_leaves(g.full_bits, _Deadline(None), *rows, lambda *node: False)
+            assert next(leaves) == greedy
 
     def test_deterministic_across_runs(self):
         g = random_graph(random.Random(1234), 12, 0.3)

@@ -277,11 +277,7 @@ def routed(route, g, n, allow_layer_label=True):
     branch-and-bound, whatever the graph's order and width.
     """
     with pytest.MonkeyPatch.context() as patch:
-        if route == "dp":
-            patch.setattr(labelling, "_DP_MIN_ORDER", 0)
-            patch.setattr(labelling, "_DP_MAX_WIDTH", g.n)
-        else:
-            patch.setattr(labelling, "_DP_MIN_ORDER", g.n + 1)
+        patch.setattr(labelling, "_DP_MAX_WIDTH", g.n if route == "dp" else -1)
         try:
             return minimize_weight(g, n, SolverLimits(vertex_cap=max(g.n, 40)), allow_layer_label)
         except ValueError as exc:
@@ -350,10 +346,10 @@ class TestFrontierDP:
             monkeypatch.setattr(
                 labelling, name, lambda *args, name=name, solve=solve: routes.append(name) or solve(*args)
             )
-        narrow = [make_path(13), make_cycle(13), make_path(300), build_family("kbip:1,40")]
+        # narrow graphs take the DP whatever their order
+        narrow = [make_path(1), make_path(2), make_cycle(3), make_path(10), make_cycle(10)]
+        narrow += [make_path(13), make_cycle(13), make_path(300), build_family("kbip:1,40")]
         wide = [
-            make_path(labelling._DP_MIN_ORDER - 1),  # narrow, but below the order floor
-            make_cycle(labelling._DP_MIN_ORDER - 1),
             build_family("cocktail:8"),  # the widest kn-route factors
             build_family("kbip:6,6"),
             build_family("X:6"),
