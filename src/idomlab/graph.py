@@ -8,7 +8,7 @@ immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -97,32 +97,36 @@ class Graph:
     take part in equality.
 
     The public constructor checks every row: range, loops and symmetry, the
-    last edge by edge.  It is the trust boundary: every parsed input (family
-    specs, graph6, edge lists, certificate subjects) reaches a ``Graph``
-    through :func:`build_graph`, which uses it, and so do the rows the CLI
-    sends to its worker processes.  Graphs derived from checked graphs
-    (``products.direct_product``, :func:`square_graph` and
-    :func:`induced_subgraph`) are valid by construction, so they use
-    :meth:`_trusted` and are not checked again.
+    last edge by edge.  Bare rows use it: direct ``Graph(n, adj)`` calls and
+    the rows the CLI sends to its worker processes.  Every parsed input
+    (family specs, graph6, edge lists, random graphs, certificate subjects)
+    reaches a ``Graph`` through :func:`build_graph`, which checks each edge
+    as it sets it in both rows and passes ``_rows_checked=True``: the
+    constructor then checks the row and label counts but not the rows.
+    Graphs derived from checked graphs (``products.direct_product``,
+    :func:`square_graph` and :func:`induced_subgraph`) are valid by
+    construction, so they use :meth:`_trusted` and are not checked again.
     """
 
     n: int
     adj: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
+    _rows_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _rows_checked: bool = False) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count differs from vertex count")
-        for v, row in enumerate(self.adj):
-            if row < 0 or row >> self.n:
-                raise ValueError(f"adjacency row of {v} has bits outside 0..{self.n - 1}")
-            if (row >> v) & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in _bits_of(row):
-                if not (self.adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        if not _rows_checked:
+            for v, row in enumerate(self.adj):
+                if row < 0 or row >> self.n:
+                    raise ValueError(f"adjacency row of {v} has bits outside 0..{self.n - 1}")
+                if (row >> v) & 1:
+                    raise ValueError(f"loop at vertex {v}")
+                for u in _bits_of(row):
+                    if not (self.adj[u] >> v) & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count differs from vertex count")
 
@@ -180,8 +184,10 @@ def build_graph(
 ) -> Graph:
     """Build a simple graph from an edge list.
 
-    Duplicate edges collapse silently; loops and out-of-range endpoints are
-    rejected with a diagnostic.
+    Duplicate edges collapse silently; loops, out-of-range endpoints and a
+    label count other than ``n`` are rejected with a diagnostic.  Each edge
+    is checked as it is set in both rows, so the rows are symmetric,
+    loop-free and in range, and ``Graph`` skips its row check on them.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -194,7 +200,7 @@ def build_graph(
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     label_tuple = tuple(labels) if labels is not None else None
-    return Graph(n, tuple(rows), label_tuple)
+    return Graph(n, tuple(rows), label_tuple, _rows_checked=True)
 
 
 def closed_neighborhood(graph: Graph, v: int) -> VertexSet:

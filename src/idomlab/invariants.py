@@ -317,35 +317,39 @@ _DP_MIN_ORDER = 24
 _DP_MAX_WIDTH = 6
 
 
-def _last_neighbours(rows: tuple[int, ...]) -> list[int]:
-    """For each vertex, the highest-index vertex its row reaches, or itself."""
-    return [max(u, row.bit_length() - 1) for u, row in enumerate(rows)]
+def _frontier_shape(rows: tuple[int, ...]) -> tuple[list[int], int]:
+    """Return ``(last, width)`` of symmetric adjacency rows in index order.
 
-
-def _frontier_width(last: list[int]) -> int:
-    """Most decided vertices that still have an undecided neighbour."""
-    leaving = [0] * len(last)
-    for end in last:
-        leaving[end] += 1
+    ``last[v]`` is the highest-index vertex that the row of ``v`` reaches,
+    or ``v`` itself; ``width`` is the most decided vertices that still have
+    an undecided neighbour.  A vertex leaves the frontier at its ``last``,
+    which is never below it, so the width is counted in the same pass.
+    """
+    last = []
+    leaving = [0] * len(rows)
     width = size = 0
-    for gone in leaving:
-        size += 1 - gone
-        width = max(width, size)
-    return width
+    for v, row in enumerate(rows):
+        end = row.bit_length() - 1
+        end = end if end > v else v
+        last.append(end)
+        leaving[end] += 1
+        size += 1 - leaving[v]
+        width = size if size > width else width
+    return last, width
 
 
 def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
     """Yield the frontier's slots, one step per vertex in index order.
 
-    ``rows`` are symmetric adjacency rows and ``last`` their
-    ``_last_neighbours``.  Step ``v`` is ``(near, leaving, own)``: ``near``
-    holds the slots of the frontier neighbours of ``v``, ``leaving`` the
-    slots of the frontier vertices whose last neighbour is ``v``, both in
-    index order of their vertices, and ``own`` is the slot ``v`` takes, or
-    -1 when no later vertex neighbours it.  Every slot is below
-    ``_frontier_width(last)``.  The steps are made as the DP reads them, so
-    a long graph's plan is never held whole; held whole, that of
-    ``path:3000`` takes about 0.5 MB.
+    ``rows`` are symmetric adjacency rows and ``(last, width)`` is their
+    ``_frontier_shape``, of which the plan reads ``last``.  Step ``v`` is
+    ``(near, leaving, own)``: ``near`` holds the slots of the frontier
+    neighbours of ``v``, ``leaving`` the slots of the frontier vertices
+    whose last neighbour is ``v``, both in index order of their vertices,
+    and ``own`` is the slot ``v`` takes, or -1 when no later vertex
+    neighbours it.  Every slot is below ``width``.  The steps are made as
+    the DP reads them, so a long graph's plan is never held whole; held
+    whole, that of ``path:3000`` takes about 0.5 MB.
     """
     slot = [0] * len(rows)
     taken = 0  # a bit for each slot held by a frontier vertex
@@ -476,18 +480,17 @@ def _solve_min_cover(
     A chosen vertex covers its neighbours, rejects them when
     ``independent``, and covers itself when ``covers_self``.  Graphs of at
     least ``_DP_MIN_ORDER`` vertices whose frontier width in natural order
-    is at most ``_DP_MAX_WIDTH`` take the frontier DP; every other graph
-    takes the branch-and-bound, which is as fast below 24 vertices and
-    faster above width 6, where the DP's states multiply (the measured
-    crossover is in the comment on ``_DP_MIN_ORDER``).  The branch-and-bound
-    starts at ``best = n + 1`` with no feasible set in hand: for ``i`` its
-    first leaf is the greedy maximal independent set in index order, so a
-    greedy start would cut nothing more.
+    (read with ``_frontier_shape``) is at most ``_DP_MAX_WIDTH`` take the
+    frontier DP; every other graph takes the branch-and-bound, which is as
+    fast below 24 vertices and faster above width 6, where the DP's states
+    multiply (the measured crossover is in the comment on ``_DP_MIN_ORDER``).
+    The branch-and-bound starts at ``best = n + 1`` with no feasible set in
+    hand: for ``i`` its first leaf is the greedy maximal independent set in
+    index order, so a greedy start would cut nothing more.
     """
     adj = graph.adj
     if graph.n >= _DP_MIN_ORDER:
-        last = _last_neighbours(adj)
-        width = _frontier_width(last)
+        last, width = _frontier_shape(adj)
         if width <= _DP_MAX_WIDTH:
             plan = _frontier_plan(adj, last)
             size, bits = _frontier_min_cover(deadline, plan, width, independent, covers_self)

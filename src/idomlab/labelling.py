@@ -29,8 +29,7 @@ from .invariants import (
     SolverLimits,
     _Deadline,
     _frontier_plan,
-    _frontier_width,
-    _last_neighbours,
+    _frontier_shape,
     _require_cap,
 )
 from .products import ProductGraph
@@ -321,9 +320,10 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # to OR into the rest of the state; vertices that see the same slots share one
 # table, which on a path or a cycle is nearly all of them.
 #
-# ``minimize_weight`` takes the DP on every graph whose natural-order frontier
-# width is at most ``_DP_MAX_WIDTH`` (paths, cycles, stars), whatever its
-# order, and the branch-and-bound on every other graph, where the DP's states
+# ``minimize_weight`` reads a graph's natural-order frontier width with
+# ``invariants._frontier_shape`` and takes the DP on every graph whose width
+# is at most ``_DP_MAX_WIDTH`` (paths, cycles, stars), whatever its order,
+# and the branch-and-bound on every other graph, where the DP's states
 # multiply.  Small narrow graphs need no order floor: on the 48 paths and
 # cycles of 3 to 10 vertices with n = 2, 3, 4, the DP took 5.5 to 7.4 ms in
 # all against the branch-and-bound's 6.0 to 9.7 ms (medians of 21 calls per
@@ -448,7 +448,7 @@ def _search_min_weight(
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound.
 
-    ``last`` is ``_last_neighbours(adj)``.
+    ``last`` is the first part of ``_frontier_shape(adj)``.
     """
     m = len(adj)
     special = special_tag(n)
@@ -600,17 +600,17 @@ def minimize_weight(
     labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
     on a graph with an isolated vertex, where no such labelling is legal.
 
-    Graphs whose frontier width in natural vertex order is at most 2
-    (paths, cycles, stars), of any order, take a frontier dynamic program,
-    whose states are packed into ints and whose state count follows ``n``
-    and the width, not the order; every other graph takes the
-    branch-and-bound, whose time is exponential in the order.  Once a vertex
-    is tagged, the branch-and-bound cuts the branch when some tagged vertex
-    can no longer meet condition 2 or 4 from the tags its untagged
-    neighbours may still take, or, once it has none left, does not meet it;
-    that one test checks both conditions, and a branch it cuts holds no
-    legal labelling.  Both routes read the budget at every step and return
-    the same labelling.
+    Graphs whose frontier width in natural vertex order, read in one pass
+    over the rows (``invariants._frontier_shape``), is at most 2 (paths,
+    cycles, stars), of any order, take a frontier dynamic program, whose
+    states are packed into ints and whose state count follows ``n`` and the
+    width, not the order; every other graph takes the branch-and-bound,
+    whose time is exponential in the order.  Once a vertex is tagged, the
+    branch-and-bound cuts the branch when some tagged vertex can no longer
+    meet condition 2 or 4 from the tags its untagged neighbours may still
+    take, or, once it has none left, does not meet it; that one test checks
+    both conditions, and a branch it cuts holds no legal labelling.  Both
+    routes read the budget at every step and return the same labelling.
     """
     if n < 2:
         raise ValueError("the complete factor must have order at least 2")
@@ -626,11 +626,10 @@ def minimize_weight(
                     "no labelling is legal"
                 )
     deadline = _Deadline(limits.budget_secs)
-    last = _last_neighbours(adj)
-    if _frontier_width(last) <= _DP_MAX_WIDTH:
-        tags, value = _frontier_min_weight(
-            deadline, _frontier_plan(adj, last), graph.n, n, allow_layer_label
-        )
+    last, width = _frontier_shape(adj)
+    if width <= _DP_MAX_WIDTH:
+        plan = _frontier_plan(adj, last)
+        tags, value = _frontier_min_weight(deadline, plan, graph.n, n, allow_layer_label)
     else:
         tags, value = _search_min_weight(deadline, adj, n, allow_layer_label, last)
     return Labelling(n, tags), value

@@ -7,7 +7,9 @@ frontier DP, which reads the solver's frontier plan (checked on its own by
 which reads the solver's clique-cover bound (checked on its own by
 ``test_clique_cover_bound_is_the_plain_greedy_cover``), and the reference
 labelling search, the solver's own branch-and-bound in an earlier form, kept
-to compare node counts as well as results.
+to compare node counts as well as results.  The two-pass frontier shape
+(``reference_last_neighbours`` and ``reference_frontier_width``) is the
+solver's earlier form of its one-pass ``_frontier_shape``.
 """
 
 from __future__ import annotations
@@ -235,6 +237,23 @@ def bfs_all_pairs(graph: Graph) -> list[list[float]]:
     return table
 
 
+def reference_last_neighbours(rows: tuple[int, ...]) -> list[int]:
+    """For each vertex, the highest-index vertex its row reaches, or itself."""
+    return [max(u, row.bit_length() - 1) for u, row in enumerate(rows)]
+
+
+def reference_frontier_width(last: list[int]) -> int:
+    """Most decided vertices that still have an undecided neighbour."""
+    leaving = [0] * len(last)
+    for end in last:
+        leaving[end] += 1
+    width = size = 0
+    for gone in leaving:
+        size += 1 - gone
+        width = max(width, size)
+    return width
+
+
 def paired_plan(plan: Iterator[tuple]) -> Iterator[tuple]:
     """The steps of a ``_frontier_plan`` with each near slot paired with its vertex."""
     holder: dict[int, int] = {}  # slot -> the frontier vertex in it
@@ -374,7 +393,7 @@ def reference_search_min_weight(
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound.
 
-    ``last`` is ``_last_neighbours(adj)``.
+    ``last`` is ``reference_last_neighbours(adj)``.
     """
     m = len(adj)
     special = special_tag(n)

@@ -40,8 +40,7 @@ from idomlab.invariants import (
     _cover_leaves,
     _frontier_min_cover,
     _frontier_plan,
-    _frontier_width,
-    _last_neighbours,
+    _frontier_shape,
 )
 from idomlab.labelling import minimize_weight
 from idomlab.products import direct_product
@@ -56,6 +55,8 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_rho,
     paired_plan,
+    reference_frontier_width,
+    reference_last_neighbours,
     reference_max_independent,
     scored_frontier_min_cover,
     vertex_set,
@@ -245,17 +246,17 @@ COVER_FACTS = {"i": (True, True), "gamma": (False, True), "gamma_t": (False, Fal
 
 def frontier_dp(g, name):
     """The frontier DP for one invariant, over the plan the router builds."""
-    last = _last_neighbours(g.adj)
+    last, width = _frontier_shape(g.adj)
     plan = _frontier_plan(g.adj, last)
-    return _frontier_min_cover(_Deadline(None), plan, _frontier_width(last), *COVER_FACTS[name])
+    return _frontier_min_cover(_Deadline(None), plan, width, *COVER_FACTS[name])
 
 
 def scored_dp(g, name):
     """The score-carrying reference DP on the cover kernel's rows, over the same plan."""
-    last = _last_neighbours(g.adj)
+    last, width = _frontier_shape(g.adj)
     plan = paired_plan(_frontier_plan(g.adj, last))
     rows = cover_rows(g, name)
-    return scored_frontier_min_cover(_Deadline(None), *rows, plan, _frontier_width(last))
+    return scored_frontier_min_cover(_Deadline(None), *rows, plan, width)
 
 
 def defined(g, name):
@@ -368,6 +369,45 @@ class TestMaxIndependentReference:
         assert isolated > 100
 
 
+class TestFrontierShape:
+    """The one-pass shape against the two-pass reference it replaced."""
+
+    @staticmethod
+    def assert_matches_reference(rows):
+        last = reference_last_neighbours(rows)
+        assert _frontier_shape(rows) == (last, reference_frontier_width(last))
+
+    def test_every_labelled_graph_up_to_order_six(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                rows = [0] * n
+                for k, (u, v) in enumerate(pairs):
+                    if (mask >> k) & 1:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                self.assert_matches_reference(tuple(rows))
+
+    def test_paths_cycles_and_their_products_with_complete_graphs(self):
+        for m in (*range(1, 101), 900, 2999, 3000):
+            self.assert_matches_reference(build_family(f"path:{m}").adj)
+            if m >= 3:
+                self.assert_matches_reference(build_family(f"cycle:{m}").adj)
+        for n in (1, 2, 3, 4):
+            for m in (*range(1, 31), 100, 301):
+                factors = [make_path(m)] + ([make_cycle(m)] if m >= 3 else [])
+                for g in factors:
+                    self.assert_matches_reference(direct_product(g, make_complete(n)).graph.adj)
+
+    def test_random_graphs(self):
+        rng = random.Random(2121)
+        for _ in range(250):
+            self.assert_matches_reference(random_graph(rng, rng.randint(0, 40), rng.random()).adj)
+            band = rng.randint(0, 8)
+            g = narrow_graph(rng, rng.randint(0, 200), band, rng.uniform(0.05, 0.9))
+            self.assert_matches_reference(g.adj)
+
+
 class TestFrontierPlan:
     def test_slots_hold_the_frontier(self):
         """At every step the plan names the frontier's neighbours, in slots below the width."""
@@ -379,8 +419,7 @@ class TestFrontierPlan:
         ]
         graphs += [make_cycle(m) for m in range(3, 40)]
         for g in graphs:
-            last = _last_neighbours(g.adj)
-            width = _frontier_width(last)
+            last, width = _frontier_shape(g.adj)
             plan = list(_frontier_plan(g.adj, last))
             assert len(plan) == g.n
             slot = {}
@@ -405,7 +444,7 @@ class TestFrontierDP:
         for g in graphs:
             rows = cover_rows(g, name)
             union = tuple(a | b | c for a, b, c in zip(*rows))
-            assert _last_neighbours(union) == _last_neighbours(g.adj)
+            assert _frontier_shape(union) == _frontier_shape(g.adj)
 
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_branch_and_bound_up_to_order_seven(self, name):
@@ -502,8 +541,8 @@ class TestLayerMemo:
         for _ in range(500):
             band = rng.randint(0, 6)
             g = narrow_graph(rng, rng.randint(1, 60), band, rng.uniform(0.05, 0.9))
-            last = _last_neighbours(g.adj)
-            assert _frontier_width(last) <= band
+            last, width = _frontier_shape(g.adj)
+            assert width <= band
             # no edge joins vertices up to v with those after v
             reach = list(accumulate(last, max))
             disconnected += any(reach[v] == v for v in range(g.n - 1))
@@ -517,7 +556,7 @@ class TestLayerMemo:
         # on this graph no (plan step, layer id) recurs (measured), so every
         # vertex is worked out and its layer stored
         g = narrow_graph(random.Random(5), 3000, 5, 0.5)
-        assert _frontier_width(_last_neighbours(g.adj)) == 5
+        assert _frontier_shape(g.adj)[1] == 5
         tracemalloc.start()
         try:
             result = frontier_dp(g, "i")

@@ -8,7 +8,7 @@ from idomlab.families import build_family, make_complete, make_cycle, make_path
 from idomlab.graph import build_graph
 from idomlab.invariants import (
     SolverLimits,
-    _last_neighbours,
+    _frontier_shape,
     enumerate_maximal_independent_sets,
     independent_domination_number,
     is_dominating,
@@ -419,7 +419,7 @@ class TestSearch:
             runs = []
             for search in (labelling._search_min_weight, reference_search_min_weight):
                 deadline = CountingDeadline()
-                found = search(deadline, g.adj, n, allow_layer_label, _last_neighbours(g.adj))
+                found = search(deadline, g.adj, n, allow_layer_label, _frontier_shape(g.adj)[0])
                 runs.append((found, deadline.ticks))
             assert runs[0] == runs[1], (g.adj, n, allow_layer_label)
             cases += 1

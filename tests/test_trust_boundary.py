@@ -1,12 +1,13 @@
-"""Graphs derived from checked graphs skip ``Graph``'s check; these tests run it on them.
+"""Builders whose rows are valid by construction skip ``Graph``'s check; these tests run it.
 
-``direct_product``, ``square_graph`` and ``induced_subgraph`` construct rows
-that are symmetric, loop-free and in range by construction, so the runtime
-does not check them again; ``build_graph``, which every parser uses, does.
-Each test rebuilds a builder's output through the public constructor, which
-checks every row, and requires the same graph back.
+``build_graph``, which every parser uses, checks each edge as it sets it in
+both rows, and ``direct_product``, ``square_graph`` and ``induced_subgraph``
+derive their rows from checked graphs, so the runtime checks none of their
+rows again.  Each test rebuilds a builder's output through the public
+constructor, which checks every row, and requires the same graph back.
 """
 
+import re
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from idomlab import cli
 from idomlab.families import build_family, counterexample_product, make_X
 from idomlab.formats import format_edge_list, graph6_decode, graph6_encode, parse_edge_list
-from idomlab.graph import Graph, induced_subgraph, square_graph
+from idomlab.graph import Graph, build_graph, induced_subgraph, square_graph
 from idomlab.invariants import DEFAULT_LIMITS
 from idomlab.products import direct_product
 from idomlab.smallgraphs import all_graphs, random_graph
@@ -33,6 +34,43 @@ SMALL_SPECS = (
 
 def assert_passes_full_check(graph: Graph) -> None:
     assert Graph(graph.n, graph.adj, graph.labels) == graph
+
+
+def test_edge_lists_with_duplicate_and_reversed_pairs():
+    rng = Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()]
+        edges = pairs + rng.sample(pairs, len(pairs) // 3)  # duplicates
+        edges += [(v, u) for u, v in pairs if rng.random() < 0.3]  # reversed duplicates
+        rng.shuffle(edges)
+        labels = [f"v{v}" for v in range(n)] if rng.random() < 0.5 else None
+        graph = build_graph(n, edges, labels)
+        assert_passes_full_check(graph)
+        expected = [0] * n
+        for u, v in pairs:
+            expected[u] |= 1 << v
+            expected[v] |= 1 << u
+        assert graph.adj == tuple(expected)
+        assert graph.labels == (tuple(labels) if labels is not None else None)
+    for spec in ("path:3000", "cycle:3000"):
+        assert_passes_full_check(build_family(spec))
+
+
+@pytest.mark.parametrize(
+    "n, edges, labels, message",
+    [
+        (3, [(0, 1), (1, 1)], None, "loop edge (1,1) is not allowed in a simple graph"),
+        (3, [(0, 1), (0, 3)], None, "edge (0,3) has an endpoint outside 0..2"),
+        (3, [(-1, 2)], None, "edge (-1,2) has an endpoint outside 0..2"),
+        (3, [(0, 1)], ["a", "b"], "label count differs from vertex count"),
+        (2, [], ["a", "b", "c"], "label count differs from vertex count"),
+        (-1, [], None, "vertex count must be nonnegative"),
+    ],
+)
+def test_build_graph_rejections_keep_their_text(n, edges, labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_graph(n, edges, labels)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
