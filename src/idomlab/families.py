@@ -61,16 +61,29 @@ HN_BASE_EDGES: tuple[tuple[int, int], ...] = (
 )
 
 
+def _path_rows(m: int) -> list[int]:
+    """Rows of the path ``0 - 1 - ... - (m - 1)``, symmetric and loop-free as built.
+
+    ``make_path`` and ``make_cycle`` pass them to ``Graph`` with
+    ``_rows_checked=True``, as ``build_graph`` passes its rows.
+    """
+    rows = [5 << (v - 1) for v in range(1, m - 1)]  # bits v - 1 and v + 1
+    return [2] + rows + [1 << (m - 2)] if m > 1 else [0]
+
+
 def make_path(m: int) -> Graph:
     if m < 1:
         raise ValueError("paths need at least one vertex")
-    return build_graph(m, [(i, i + 1) for i in range(m - 1)])
+    return Graph(m, tuple(_path_rows(m)), _rows_checked=True)
 
 
 def make_cycle(m: int) -> Graph:
     if m < 3:
         raise ValueError("cycles need at least three vertices")
-    return build_graph(m, [(i, (i + 1) % m) for i in range(m)])
+    rows = _path_rows(m)
+    rows[0] |= 1 << (m - 1)
+    rows[-1] |= 1
+    return Graph(m, tuple(rows), _rows_checked=True)
 
 
 def make_complete(n: int) -> Graph:

@@ -103,6 +103,8 @@ class Graph:
     reaches a ``Graph`` through :func:`build_graph`, which checks each edge
     as it sets it in both rows and passes ``_rows_checked=True``: the
     constructor then checks the row and label counts but not the rows.
+    ``families.make_path`` and ``make_cycle`` build their rows directly,
+    valid by construction, and pass ``_rows_checked=True`` the same way.
     Graphs derived from checked graphs (``products.direct_product``,
     :func:`square_graph` and :func:`induced_subgraph`) are valid by
     construction, so they use :meth:`_trusted` and are not checked again.

@@ -9,8 +9,9 @@ of its square, under a clique-cover bound.  Only ``i``, ``gamma`` and
 ``gamma_t`` on graphs of at least 24 vertices and frontier width at most 6
 (paths, cycles, ``P_m x K_n`` for n <= 4) take a dynamic program over the
 vertex order instead, which works out each distinct transition between its
-layers of states once per solve, so that where layers recur, as on those
-families, its cost follows the number of distinct layers, not the order.
+layers of states once per solve and copies runs of layers that repeat, so
+that where layers recur, as on those families, its cost follows the number
+of distinct layers, not the order.
 Every result carries a witness set that re-verifies under the matching
 predicate, and the reported witness is always the lexicographically
 smallest optimum, so results do not depend on traversal or worker
@@ -269,8 +270,10 @@ def _cover_leaves(
 # slot, so the work per vertex follows the width, not the order.  A vertex
 # takes the slot of a neighbour that leaves as it is decided, if there is one,
 # or else the lowest free slot, so long runs of vertices see the same slots; a
-# vertex with no later neighbour takes none.  ``_frontier_plan`` works the
-# slots out once per solve, and neither DP assigns a slot itself.
+# vertex with no later neighbour takes none.  ``_frontier_steps`` works the
+# whole plan out in one pass per solve, and neither DP assigns a slot itself.
+# On a path or a cycle nearly every step is the same, and equal steps are one
+# tuple.
 #
 # In the cover DP a state is the (chosen, covered) pair of the frontier, kept
 # as bits over frontier slots, and a vertex must be covered by the time it
@@ -299,12 +302,21 @@ def _cover_leaves(
 # back-pointers that one backtrack reads the witness from.  Equal bytes get
 # one layer id, and the next layer depends only on a layer's bytes and the
 # plan step, so each ``(plan step, layer id)`` is worked out once per solve
-# and looked up after that: on a path or a cycle a handful of layers recur
-# and every later vertex is a lookup.  Layers that differ only in their
-# back-pointers or in the offset of their sizes get two ids but have equal
-# successors, so a repeat is found one vertex later.  Memory: a vertex that
-# is looked up stores one layer id; one that is worked out stores one memo
-# entry and, for a new layer, 8 bytes per state.
+# and looked up after that.  Layers that differ only in their back-pointers
+# or in the offset of their sizes get two ids but have equal successors, so
+# a repeat is found one vertex later.  Memory: a vertex stores one layer id;
+# one that is worked out also stores one memo entry and, for a new layer, 8
+# bytes per state.
+#
+# Once the layer before ``v`` is the layer before an earlier ``v'`` and the
+# ``p = v - v'`` steps from ``v`` are those from ``v'``, the next ``p``
+# layers are those after ``v'``: the DP copies them as one block of layer
+# ids, and goes on copying while the steps keep repeating, each block as long
+# as the periodic stretch behind it, halved where the steps stop repeating.
+# On a path or a cycle every vertex between the first few and the last few
+# is copied.  The backtrack does the same in reverse: within a copied
+# stretch, once the rank at a block boundary recurs, the blocks below repeat
+# the member bits and sizes of the blocks between, and are filled in at once.
 
 # Route to the DP from this order and at most this natural-order width.
 # Both routes timed on every cover solve of one pass of the paper's
@@ -316,75 +328,76 @@ def _cover_leaves(
 _DP_MIN_ORDER = 24
 _DP_MAX_WIDTH = 6
 
+# The longest period the cover DP looks for repeated blocks at, so that a
+# repeat that does not pay off costs at most this many step comparisons.
+# Measured periods of i and gamma: 3 vertices on paths and cycles, 12 rows of
+# the product on P_m x K_n and C_m x K_n, so 48 vertices at n = 4.
+_REPEAT_MAX_PERIOD = 64
 
-def _frontier_shape(rows: tuple[int, ...]) -> tuple[list[int], int]:
-    """Return ``(last, width)`` of symmetric adjacency rows in index order.
 
-    ``last[v]`` is the highest-index vertex that the row of ``v`` reaches,
-    or ``v`` itself; ``width`` is the most decided vertices that still have
-    an undecided neighbour.  A vertex leaves the frontier at its ``last``,
-    which is never below it, so the width is counted in the same pass.
+def _frontier_steps(
+    rows: tuple[int, ...], cap: int, deadline: _Deadline
+) -> tuple[int, Optional[list[tuple[int, int, int]]]]:
+    """Return ``(width, steps)``: the frontier plan of symmetric adjacency rows.
+
+    ``width`` is the most decided vertices that still have an undecided
+    neighbour, and ``steps`` holds one step per vertex in index order.  Step
+    ``v`` is ``(near, leaving, own)``: ``near`` has the bit of the slot of
+    each frontier neighbour of ``v``, ``leaving`` that of each frontier
+    vertex whose last neighbour is ``v``, and ``own`` is the slot ``v``
+    takes, or -1 when no later vertex neighbours it.  Every slot is below
+    ``width``.  Equal steps are one tuple.  The pass stops as soon as the
+    width passes ``cap``, and then returns ``(cap + 1, None)``.  It reads the
+    budget every 1024 vertices.
     """
-    last = []
-    leaving = [0] * len(rows)
-    width = size = 0
+    n = len(rows)
+    near_at = [0] * n  # slot bits of the frontier neighbours of v
+    leave_at = [0] * n  # those of the frontier vertices whose last neighbour is v
+    first_at = [0] * n  # the slot of the lowest-index of the latter
+    interned: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    steps = []
+    taken = width = 0  # a bit for each slot held by a frontier vertex
     for v, row in enumerate(rows):
-        end = row.bit_length() - 1
-        end = end if end > v else v
-        last.append(end)
-        leaving[end] += 1
-        size += 1 - leaving[v]
-        width = size if size > width else width
-    return last, width
-
-
-def _frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
-    """Yield the frontier's slots, one step per vertex in index order.
-
-    ``rows`` are symmetric adjacency rows and ``(last, width)`` is their
-    ``_frontier_shape``, of which the plan reads ``last``.  Step ``v`` is
-    ``(near, leaving, own)``: ``near`` holds the slots of the frontier
-    neighbours of ``v``, ``leaving`` the slots of the frontier vertices
-    whose last neighbour is ``v``, both in index order of their vertices,
-    and ``own`` is the slot ``v`` takes, or -1 when no later vertex
-    neighbours it.  Every slot is below ``width``.  The steps are made as
-    the DP reads them, so a long graph's plan is never held whole; held
-    whole, that of ``path:3000`` takes about 0.5 MB.
-    """
-    slot = [0] * len(rows)
-    taken = 0  # a bit for each slot held by a frontier vertex
-    frontier: list[int] = []
-    for v, row in enumerate(rows):
-        near = []
-        leaving = []
-        stay = []
-        for u in frontier:
-            if (row >> u) & 1:
-                near.append(slot[u])
-                if last[u] == v:  # a leaving vertex is a neighbour of v
-                    leaving.append(slot[u])
-                    taken ^= 1 << slot[u]
-                    continue
-            stay.append(u)
-        frontier = stay
+        if not v & 1023:
+            deadline.tick()
+        leaving = leave_at[v]  # every leaving vertex is a neighbour of v
+        taken ^= leaving
         own = -1
-        if last[v] != v:
-            own = leaving[0] if leaving else (~taken & (taken + 1)).bit_length() - 1
-            slot[v] = own
-            taken |= 1 << own
-            frontier.append(v)
-        yield tuple(near), tuple(leaving), own
+        later = row >> (v + 1)  # bit k for neighbour v + 1 + k
+        if later:
+            own = first_at[v] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            bit = 1 << own
+            taken |= bit
+            end = v + later.bit_length()
+            if not leave_at[end]:
+                first_at[end] = own
+            leave_at[end] |= bit
+            while later:
+                low = later & -later
+                later ^= low
+                near_at[v + low.bit_length()] |= bit
+            if taken.bit_count() > width:
+                width += 1
+                if width > cap:
+                    return width, None
+        step = (near_at[v], leaving, own)
+        steps.append(interned.setdefault(step, step))
+    return width, steps
 
 
 def _frontier_min_cover(
-    deadline: _Deadline, plan: Iterator[tuple], width: int, independent: bool, covers_self: bool
+    deadline: _Deadline,
+    steps: list[tuple[int, int, int]],
+    width: int,
+    independent: bool,
+    covers_self: bool,
 ) -> tuple[int, int]:
     """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
-    ``plan`` is the ``_frontier_plan`` of a graph's adjacency rows, whose
-    slots are below ``width``, and the graph must admit a cover.  A chosen
-    vertex covers its neighbours, rejects them when ``independent`` (``i``),
-    and covers itself when ``covers_self`` (``i`` and ``gamma``).
+    ``(width, steps)`` is the ``_frontier_steps`` of a graph's adjacency
+    rows, and the graph must admit a cover.  A chosen vertex covers its
+    neighbours, rejects them when ``independent`` (``i``), and covers itself
+    when ``covers_self`` (``i`` and ``gamma``).
     """
     keyed = 2 * width  # a state: chosen | covered << width
     key_mask = (1 << keyed) - 1
@@ -398,24 +411,50 @@ def _frontier_min_cover(
     layers = {start: 0}  # a layer's bytes -> its id
     held = [start]  # each layer id's bytes
     memo: dict[tuple, int] = {}  # (plan step, layer id) -> next layer id
-    trail = []  # the layer id after each vertex
-    layer = 0
+    trail: list[int] = []  # the layer id after each vertex
+    before: dict[int, int] = {}  # layer id -> the last vertex found with it as the layer before
+    stretches = []  # (lo, hi, p): trail[x] == trail[x - p] for lo <= x < hi
+    m = len(steps)
+    v = layer = 0
     fresh = True  # nothing is known yet of the current layer's successors
     first = 0  # the current layer's first entry
     entries = {0: 0}.items()  # its (state, entry) pairs, when at hand
-    for step in plan:
+    while v < m:
         deadline.tick()
+        step = steps[v]
+        seen = before.get(layer)
+        before[layer] = v
+        if seen is not None and steps[seen] is step and v - seen <= _REPEAT_MAX_PERIOD:
+            lo = v
+            # the layer before v is the one before v - k * p for every k * p <= span
+            p = span = block = v - seen
+            grow = True
+            while block:
+                if v + block <= m and steps[v : v + block] == steps[v - block : v]:
+                    deadline.tick()
+                    trail += trail[v - block : v]
+                    v += block
+                    span += block
+                    if grow:  # double while the steps keep repeating
+                        block = span
+                else:  # halve, in whole periods, once they stop
+                    grow = False
+                    block = block // (2 * p) * p
+            if v > lo:
+                stretches.append((lo, v, p))
+                if v == m:
+                    break
+                layer = trail[-1]
+                before[layer] = v
+                fresh = False
+                entries = None
+                step = steps[v]
         key = (step, layer)
         nxt_layer = None if fresh else memo.get(key)
         if nxt_layer is not None:
             entries = None
         else:
-            near, leaving, own = step
-            nearby = done = 0
-            for s in near:
-                nearby |= 1 << s
-            for s in leaving:
-                done |= 1 << s
+            nearby, done, own = step
             clash = nearby if independent else 0
             need = done << width
             keep = ~(done | need)
@@ -460,15 +499,41 @@ def _frontier_min_cover(
                 held.append(packed)
         trail.append(nxt_layer)
         layer = nxt_layer
+        v += 1
+
     views = [memoryview(packed).cast("q") for packed in held]
     size = members = rank = 0
-    for v in range(len(trail) - 1, -1, -1):
-        entries = views[trail[v]]
-        size += entries[0] >> field
-        rank = entries[rank] >> keyed & back
-        if not rank & 1:
-            members |= 1 << v
-        rank >>= 1
+
+    def walk(top: int, stop: int) -> None:
+        """Backtrack the vertices from ``top - 1`` down to ``stop``."""
+        nonlocal size, members, rank
+        for x in range(top - 1, stop - 1, -1):
+            entries = views[trail[x]]
+            size += entries[0] >> field
+            rank = entries[rank] >> keyed & back
+            if not rank & 1:
+                members |= 1 << x
+            rank >>= 1
+
+    v = m
+    for lo, hi, p in reversed(stretches):
+        walk(v, hi)
+        v = min(v, hi)  # the stretch below may have been walked into already
+        marks = {}  # the rank at each block boundary from hi down -> (boundary, size)
+        while v >= lo:  # blocks down to lo - p, where the trail's period starts
+            if rank in marks:
+                top, top_size = marks[rank]
+                q = top - v
+                k = (v - lo + p) // q
+                pattern = members >> v & ((1 << q) - 1)
+                members |= pattern * (((1 << k * q) - 1) // ((1 << q) - 1)) << (v - k * q)
+                size += k * (size - top_size)
+                v -= k * q
+                break
+            marks[rank] = v, size
+            walk(v, v - p)
+            v -= p
+    walk(v, 0)
     return size, members
 
 
@@ -479,10 +544,11 @@ def _solve_min_cover(
 
     A chosen vertex covers its neighbours, rejects them when
     ``independent``, and covers itself when ``covers_self``.  Graphs of at
-    least ``_DP_MIN_ORDER`` vertices whose frontier width in natural order
-    (read with ``_frontier_shape``) is at most ``_DP_MAX_WIDTH`` take the
-    frontier DP; every other graph takes the branch-and-bound, which is as
-    fast below 24 vertices and faster above width 6, where the DP's states
+    least ``_DP_MIN_ORDER`` vertices whose frontier width in natural order is
+    at most ``_DP_MAX_WIDTH`` take the frontier DP over the plan that
+    ``_frontier_steps`` builds, a pass that stops as soon as the width passes
+    that cap; every other graph takes the branch-and-bound, which is as fast
+    below 24 vertices and faster above width 6, where the DP's states
     multiply (the measured crossover is in the comment on ``_DP_MIN_ORDER``).
     The branch-and-bound starts at ``best = n + 1`` with no feasible set in
     hand: for ``i`` its first leaf is the greedy maximal independent set in
@@ -490,10 +556,9 @@ def _solve_min_cover(
     """
     adj = graph.adj
     if graph.n >= _DP_MIN_ORDER:
-        last, width = _frontier_shape(adj)
-        if width <= _DP_MAX_WIDTH:
-            plan = _frontier_plan(adj, last)
-            size, bits = _frontier_min_cover(deadline, plan, width, independent, covers_self)
+        width, steps = _frontier_steps(adj, _DP_MAX_WIDTH, deadline)
+        if steps is not None:
+            size, bits = _frontier_min_cover(deadline, steps, width, independent, covers_self)
             return size, bits, "frontier-dp"
     coverage = tuple(row | (1 << v) for v, row in enumerate(adj)) if covers_self else adj
     conflict = adj if independent else (0,) * graph.n

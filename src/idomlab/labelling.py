@@ -21,15 +21,14 @@ the constructed set, and its minimum over legal labellings equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graph import Graph, VertexSet, _bits_of
 from .invariants import (
     DEFAULT_LIMITS,
     SolverLimits,
     _Deadline,
-    _frontier_plan,
-    _frontier_shape,
+    _frontier_steps,
     _require_cap,
 )
 from .products import ProductGraph
@@ -295,20 +294,19 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
 # vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
 # 1997) on a linear order.  It reads the frontier plan that the cover kernel's
-# DP reads (``invariants._frontier_plan``): the frontier is the tagged
+# DP reads (``invariants._frontier_steps``): the frontier is the tagged
 # vertices that still have an untagged neighbour, each in a slot the plan
-# assigns, and each step names the slots of the vertex's tagged neighbours
-# and of those that leave, and the vertex's own slot.  A state is ``used``,
-# the number of classes opened, plus each frontier vertex's tag and pending
-# need: a class vertex waits for a same-class neighbour (condition 2); a 0
-# vertex has seen no class yet, or one class ``c`` (condition 4); an [n]
-# vertex needs nothing.  A vertex must need nothing when it leaves the
-# frontier.  Each state keeps the least score of the prefixes reaching it:
-# the weight, then the prefix's tags as digits.
-# Prefixes reaching one state have the same completions, so the least final
-# score is the branch-and-bound's optimum, with no backward pass.  The number
-# of states follows ``n`` and the frontier width, not the order; only the
-# score's digits grow with the order.
+# assigns, and each step holds the slot bits of the vertex's tagged neighbours
+# and of those that leave, and the vertex's own slot.  A state is ``used``, the
+# number of classes opened, plus each frontier vertex's tag and pending need:
+# a class vertex waits for a same-class neighbour (condition 2); a 0 vertex
+# has seen no class yet, or one class ``c`` (condition 4); an [n] vertex needs
+# nothing.  A vertex must need nothing when it leaves the frontier.  Each state
+# keeps the least score of the prefixes reaching it: the weight, then the
+# prefix's tags as digits.  Prefixes reaching one state have the same
+# completions, so the least final score is the branch-and-bound's optimum,
+# with no backward pass.  The number of states follows ``n`` and the frontier
+# width, not the order; only the score's digits grow with the order.
 #
 # A state is packed into one int of fixed-width fields of ``b`` bits, ``b``
 # the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field, then
@@ -320,14 +318,14 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # to OR into the rest of the state; vertices that see the same slots share one
 # table, which on a path or a cycle is nearly all of them.
 #
-# ``minimize_weight`` reads a graph's natural-order frontier width with
-# ``invariants._frontier_shape`` and takes the DP on every graph whose width
-# is at most ``_DP_MAX_WIDTH`` (paths, cycles, stars), whatever its order,
-# and the branch-and-bound on every other graph, where the DP's states
-# multiply.  Small narrow graphs need no order floor: on the 48 paths and
-# cycles of 3 to 10 vertices with n = 2, 3, 4, the DP took 5.5 to 7.4 ms in
-# all against the branch-and-bound's 6.0 to 9.7 ms (medians of 21 calls per
-# graph, two runs).
+# ``minimize_weight`` builds a graph's frontier plan with
+# ``invariants._frontier_steps``, which stops once the natural-order width
+# passes ``_DP_MAX_WIDTH``, and takes the DP on every graph whose width is at
+# most that (paths, cycles, stars), whatever its order, and the
+# branch-and-bound on every other graph, where the DP's states multiply.
+# Small narrow graphs need no order floor: on the 48 paths and cycles of 3 to 10
+# vertices with n = 2, 3, 4, the DP took 5.5 to 7.4 ms in all against the
+# branch-and-bound's 6.0 to 9.7 ms (medians of 21 calls per graph, two runs).
 
 _DP_MAX_WIDTH = 2
 
@@ -337,19 +335,19 @@ def _tag_moves(
     n: int,
     allow_layer_label: bool,
     bits: int,
-    near: tuple[int, ...],
-    leaving: tuple[int, ...],
+    near: int,
+    leaving: int,
     own: int,
 ) -> tuple[tuple[int, int], ...]:
     """The tags a vertex may take from one packed state, each with the fields it leaves.
 
-    ``key`` holds a state's ``used`` and the fields of the slots in ``near``,
-    those of the vertex's tagged neighbours.  The neighbours in the slots
-    ``leaving`` leave the frontier, and the vertex takes slot ``own``, or
-    leaves at once if ``own`` is -1.  Each move is ``(tag, fields)``:
-    ``fields`` holds the new ``used`` and the new fields of ``near`` and
-    ``own``, with the leaving ones cleared.  A tag that leaves a vertex with
-    an unmet need has no move.
+    ``key`` holds a state's ``used`` and the fields of the slots whose bits
+    are in ``near``, those of the vertex's tagged neighbours.  The neighbours
+    in the slots of ``leaving`` leave the frontier, and the vertex takes slot
+    ``own``, or leaves at once if ``own`` is -1.  Each move is
+    ``(tag, fields)``: ``fields`` holds the new ``used`` and the new fields
+    of ``near`` and ``own``, with the leaving ones cleared.  A tag that
+    leaves a vertex with an unmet need has no move.
     """
     special = special_tag(n)
     field = (1 << bits) - 1
@@ -358,10 +356,13 @@ def _tag_moves(
     # none, -1 if there are several
     seen = 0
     neighbours = []  # (shift, tag, need, leaves) for each slot in ``near``
-    for s in near:
-        shift = bits * (1 + 2 * s)
+    scan = near
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        shift = bits * (2 * low.bit_length() - 1)
         t = (key >> shift) & field
-        neighbours.append((shift, t, (key >> (shift + bits)) & field, s in leaving))
+        neighbours.append((shift, t, (key >> (shift + bits)) & field, leaving & low))
         if t and t != seen:
             seen = -1 if seen else t
     if seen == 0:
@@ -399,13 +400,14 @@ def _tag_moves(
 
 
 def _frontier_min_weight(
-    deadline: _Deadline, plan: Iterator[tuple], m: int, n: int, allow_layer_label: bool
+    deadline: _Deadline, steps: list[tuple[int, int, int]], n: int, allow_layer_label: bool
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by frontier DP.
 
-    ``plan`` is the ``_frontier_plan`` of the graph's ``m`` adjacency rows,
+    ``steps`` is the ``_frontier_steps`` plan of the graph's adjacency rows,
     and without the [n] label no vertex may be isolated.
     """
+    m = len(steps)
     special = special_tag(n)
     bits = special.bit_length()  # ``used``, a tag and a need each fit
     field = (1 << bits) - 1
@@ -415,13 +417,17 @@ def _frontier_min_weight(
     # (near, leaving, own) -> {a state's used and near fields -> moves}
     tables: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
     states = {0: 0}  # packed state -> least score
-    for v, (near, leaving, own) in enumerate(plan):
+    for v, step in enumerate(steps):
         deadline.tick()
+        near, leaving, own = step
         local = field
-        for s in near:
-            local |= both << (bits * (1 + 2 * s))
+        scan = near
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            local |= both << (bits * (2 * low.bit_length() - 1))
         keep = ~(local | both << (bits * (1 + 2 * own))) if own >= 0 else ~local
-        table = tables.setdefault((near, leaving, own), {})
+        table = tables.setdefault(step, {})
         place = 1 << (bits * (m - 1 - v))
         gain = [cost[tag] + tag * place for tag in range(special + 1)]
         after: dict[int, int] = {}
@@ -444,19 +450,17 @@ def _frontier_min_weight(
 
 
 def _search_min_weight(
-    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool, last: list[int]
+    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool
 ) -> tuple[tuple[int, ...], int]:
-    """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound.
-
-    ``last`` is the first part of ``_frontier_shape(adj)``.
-    """
+    """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound."""
     m = len(adj)
     special = special_tag(n)
     below = tuple(adj[v] & ((1 << v) - 1) for v in range(m))
-    # vertices whose closed neighbourhood completes when v receives its tag
+    # vertices whose closed neighbourhood completes when v receives its tag:
+    # at u's highest-index neighbour, or at u itself
     ending = [0] * (m + 1)
-    for u, end in enumerate(last):
-        ending[end] |= 1 << u
+    for u, row in enumerate(adj):
+        ending[max(u, row.bit_length() - 1)] |= 1 << u
     # Once v is tagged, the look-ahead checks the vertices whose closed
     # neighbourhood completes at v, and those whose need or whose helpers v's
     # tag can change and whose closed neighbourhood stays open past v + 1:
@@ -600,9 +604,10 @@ def minimize_weight(
     labellings avoiding the ``[n]`` label, and raises :class:`ValueError`
     on a graph with an isolated vertex, where no such labelling is legal.
 
-    Graphs whose frontier width in natural vertex order, read in one pass
-    over the rows (``invariants._frontier_shape``), is at most 2 (paths,
-    cycles, stars), of any order, take a frontier dynamic program, whose
+    Graphs whose frontier width in natural vertex order is at most 2
+    (paths, cycles, stars), of any order, take a frontier dynamic program
+    over the plan that ``invariants._frontier_steps`` builds in one pass
+    (which stops once the width passes 2), whose
     states are packed into ints and whose state count follows ``n`` and the
     width, not the order; every other graph takes the branch-and-bound,
     whose time is exponential in the order.  Once a vertex is tagged, the
@@ -626,12 +631,11 @@ def minimize_weight(
                     "no labelling is legal"
                 )
     deadline = _Deadline(limits.budget_secs)
-    last, width = _frontier_shape(adj)
-    if width <= _DP_MAX_WIDTH:
-        plan = _frontier_plan(adj, last)
-        tags, value = _frontier_min_weight(deadline, plan, graph.n, n, allow_layer_label)
+    steps = _frontier_steps(adj, _DP_MAX_WIDTH, deadline)[1]
+    if steps is not None:
+        tags, value = _frontier_min_weight(deadline, steps, n, allow_layer_label)
     else:
-        tags, value = _search_min_weight(deadline, adj, n, allow_layer_label, last)
+        tags, value = _search_min_weight(deadline, adj, n, allow_layer_label)
     return Labelling(n, tags), value
 
 

@@ -1,19 +1,22 @@
 """Independent brute-force oracles the solver tests are checked against.
 
 Everything here enumerates subsets or assignments directly and never calls
-the branch-and-bound code paths it is used to check, except the score-carrying
-frontier DP, which reads the solver's frontier plan (checked on its own by
-``TestFrontierPlan``), the reference maximum independent set search,
-which reads the solver's clique-cover bound (checked on its own by
-``test_clique_cover_bound_is_the_plain_greedy_cover``), and the reference
-labelling search, the solver's own branch-and-bound in an earlier form, kept
-to compare node counts as well as results.  The two-pass frontier shape
-(``reference_last_neighbours`` and ``reference_frontier_width``) is the
-solver's earlier form of its one-pass ``_frontier_shape``.
+the branch-and-bound code paths it is used to check, except the reference
+maximum independent set search, which reads the solver's clique-cover bound
+(checked on its own by ``test_clique_cover_bound_is_the_plain_greedy_cover``),
+and the reference labelling search, the solver's own branch-and-bound in an
+earlier form, kept to compare node counts as well as results.  The frontier
+references are the solver's earlier forms too: the two-pass frontier shape
+(``reference_last_neighbours`` and ``reference_frontier_width``), the
+frontier plan generator (``reference_frontier_plan``), which the solver's
+one-pass ``_frontier_steps`` replaced, and the cover DP that works out or
+looks up every vertex (``reference_frontier_min_cover``).  The
+score-carrying frontier DP reads the reference plan.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 from typing import Iterator
@@ -254,8 +257,149 @@ def reference_frontier_width(last: list[int]) -> int:
     return width
 
 
+# The frontier plan and the memoized cover DP as they stood before the plan
+# was built in one pass with slot bitmasks and the DP learned to copy
+# repeated blocks: the plan is a generator of ``(near, leaving, own)`` steps
+# with slot tuples, and the DP works out or looks up every vertex and
+# backtracks one vertex at a time.  They are the exact references for
+# ``_frontier_steps`` and ``_frontier_min_cover``.
+
+
+def reference_frontier_plan(rows: tuple[int, ...], last: list[int]) -> Iterator[tuple]:
+    """Yield the frontier's slots, one step per vertex in index order.
+
+    ``rows`` are symmetric adjacency rows and ``last`` is their
+    ``reference_last_neighbours``, with ``width`` their
+    ``reference_frontier_width``.  Step ``v`` is
+    ``(near, leaving, own)``: ``near`` holds the slots of the frontier
+    neighbours of ``v``, ``leaving`` the slots of the frontier vertices
+    whose last neighbour is ``v``, both in index order of their vertices,
+    and ``own`` is the slot ``v`` takes, or -1 when no later vertex
+    neighbours it.  Every slot is below ``width``.
+    """
+    slot = [0] * len(rows)
+    taken = 0  # a bit for each slot held by a frontier vertex
+    frontier: list[int] = []
+    for v, row in enumerate(rows):
+        near = []
+        leaving = []
+        stay = []
+        for u in frontier:
+            if (row >> u) & 1:
+                near.append(slot[u])
+                if last[u] == v:  # a leaving vertex is a neighbour of v
+                    leaving.append(slot[u])
+                    taken ^= 1 << slot[u]
+                    continue
+            stay.append(u)
+        frontier = stay
+        own = -1
+        if last[v] != v:
+            own = leaving[0] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            slot[v] = own
+            taken |= 1 << own
+            frontier.append(v)
+        yield tuple(near), tuple(leaving), own
+
+
+def reference_frontier_min_cover(
+    deadline: _Deadline, plan: Iterator[tuple], width: int, independent: bool, covers_self: bool
+) -> tuple[int, int]:
+    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+
+    ``plan`` is the ``reference_frontier_plan`` of a graph's adjacency rows,
+    whose slots are below ``width``, and the graph must admit a cover.  A chosen
+    vertex covers its neighbours, rejects them when ``independent`` (``i``),
+    and covers itself when ``covers_self`` (``i`` and ``gamma``).
+    """
+    keyed = 2 * width  # a state: chosen | covered << width
+    key_mask = (1 << keyed) - 1
+    out = 1 << keyed  # b = 1, v left out
+    next_rank = out << 1
+    field = 4 * width + 1  # above a state and 2 * r + b, r below 4 ** width
+    unit = 1 << field
+    sizes = -unit
+    back = (1 << (2 * width + 1)) - 1
+    start = bytes(8)  # the empty state, packed
+    layers = {start: 0}  # a layer's bytes -> its id
+    held = [start]  # each layer id's bytes
+    memo: dict[tuple, int] = {}  # (plan step, layer id) -> next layer id
+    trail = []  # the layer id after each vertex
+    layer = 0
+    fresh = True  # nothing is known yet of the current layer's successors
+    first = 0  # the current layer's first entry
+    entries = {0: 0}.items()  # its (state, entry) pairs, when at hand
+    for step in plan:
+        deadline.tick()
+        key = (step, layer)
+        nxt_layer = None if fresh else memo.get(key)
+        if nxt_layer is not None:
+            entries = None
+        else:
+            near, leaving, own = step
+            nearby = done = 0
+            for s in near:
+                nearby |= 1 << s
+            for s in leaving:
+                done |= 1 << s
+            clash = nearby if independent else 0
+            need = done << width
+            keep = ~(done | need)
+            pick = nearby << width
+            stays = own >= 0  # else v leaves at once and must be covered now
+            free = covers_self or stays
+            own_covered = (1 << own if stays else 0) << width
+            own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
+            if entries is None:
+                view = memoryview(held[layer]).cast("q")
+                entries = zip([entry & key_mask for entry in view], view)
+                first = view[0]
+            after: dict[int, int] = {}  # state -> its winner, in rank order
+            rank = -(first & sizes)  # sizes count from the first entry's
+            for state, entry in entries:
+                base = (entry & sizes) + rank
+                rank += next_rank
+                met = state & nearby
+                if state & clash == 0 and (met or free):
+                    nxt = state | pick
+                    if nxt & need == need:
+                        nxt = nxt & keep | own_in | (own_covered if met else 0)
+                        new = base + unit | nxt
+                        old = after.setdefault(nxt, new)
+                        if new < old:
+                            del after[nxt]
+                            after[nxt] = new
+                if state & need == need and (met or stays):
+                    nxt = state & keep | (own_covered if met else 0)
+                    new = base + out | nxt
+                    old = after.setdefault(nxt, new)
+                    if new < old:
+                        del after[nxt]
+                        after[nxt] = new
+            won = list(after.values())
+            entries = after.items()
+            first = won[0]
+            packed = array("q", won).tobytes()
+            nxt_layer = memo[key] = layers.setdefault(packed, len(held))
+            fresh = nxt_layer == len(held)
+            if fresh:
+                held.append(packed)
+        trail.append(nxt_layer)
+        layer = nxt_layer
+    views = [memoryview(packed).cast("q") for packed in held]
+    size = members = rank = 0
+    for v in range(len(trail) - 1, -1, -1):
+        entries = views[trail[v]]
+        size += entries[0] >> field
+        rank = entries[rank] >> keyed & back
+        if not rank & 1:
+            members |= 1 << v
+        rank >>= 1
+    return size, members
+
+
 def paired_plan(plan: Iterator[tuple]) -> Iterator[tuple]:
-    """The steps of a ``_frontier_plan`` with each near slot paired with its vertex."""
+    """The steps of a ``reference_frontier_plan`` with each near slot paired with its vertex."""
     holder: dict[int, int] = {}  # slot -> the frontier vertex in it
     for v, (near, leaving, own) in enumerate(plan):
         yield tuple((holder[s], s) for s in near), leaving, own
@@ -267,7 +411,7 @@ def paired_plan(plan: Iterator[tuple]) -> Iterator[tuple]:
 # its score, ``size << n`` plus an out-bit per decided vertex, so it needs no
 # ranks, no memo and no backtrack.  It is the exact witness reference on
 # graphs far above the branch-and-bound's reach.  It takes the cover kernel's
-# rows and the ``paired_plan`` of the graph's frontier plan.
+# rows and the ``paired_plan`` of the graph's reference frontier plan.
 
 
 def scored_frontier_min_cover(
@@ -281,10 +425,10 @@ def scored_frontier_min_cover(
     """Return ``(size, bits)`` of the lexicographically least minimum cover.
 
     Takes the cover kernel's rows, which must be symmetric and admit a
-    cover, and the ``_frontier_plan`` of the rows' union, whose slots are
-    below ``width``; for ``i``, ``gamma`` and ``gamma_t`` that union reaches
-    exactly as far as the graph's adjacency rows, so the plan of those rows
-    serves.
+    cover, and the ``reference_frontier_plan`` of the rows' union, whose
+    slots are below ``width``; for ``i``, ``gamma`` and ``gamma_t`` that
+    union reaches exactly as far as the graph's adjacency rows, so the plan
+    of those rows serves.
     """
     n = len(coverage)
     low = (1 << width) - 1

@@ -42,6 +42,17 @@ class TestPlainFamilies:
         g = make_path(1)
         assert g.n == 1 and g.edge_count() == 0
 
+    def test_paths_and_cycles_have_the_edge_list_rows(self):
+        """The directly built rows equal ``build_graph``'s, and pass the full row check."""
+        for m in (*range(1, 65), 3000):
+            path = make_path(m)
+            assert path.adj == build_graph(m, [(i, i + 1) for i in range(m - 1)]).adj
+            assert Graph(m, path.adj) == path
+            if m >= 3:
+                cycle = make_cycle(m)
+                assert cycle.adj == build_graph(m, [(i, (i + 1) % m) for i in range(m)]).adj
+                assert Graph(m, cycle.adj) == cycle
+
     def test_parameter_floors(self):
         with pytest.raises(ValueError):
             make_path(0)

@@ -39,8 +39,7 @@ from idomlab.invariants import (
     _clique_cover_bound,
     _cover_leaves,
     _frontier_min_cover,
-    _frontier_plan,
-    _frontier_shape,
+    _frontier_steps,
 )
 from idomlab.labelling import minimize_weight
 from idomlab.products import direct_product
@@ -55,6 +54,8 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_rho,
     paired_plan,
+    reference_frontier_min_cover,
+    reference_frontier_plan,
     reference_frontier_width,
     reference_last_neighbours,
     reference_max_independent,
@@ -244,19 +245,49 @@ def cover_rows(g, name):
 COVER_FACTS = {"i": (True, True), "gamma": (False, True), "gamma_t": (False, False)}
 
 
+def frontier_steps(rows):
+    """``(width, steps)`` of the one-pass plan, under no width cap and no budget."""
+    return _frontier_steps(rows, len(rows), _Deadline(None))
+
+
 def frontier_dp(g, name):
     """The frontier DP for one invariant, over the plan the router builds."""
-    last, width = _frontier_shape(g.adj)
-    plan = _frontier_plan(g.adj, last)
-    return _frontier_min_cover(_Deadline(None), plan, width, *COVER_FACTS[name])
+    width, steps = frontier_steps(g.adj)
+    return _frontier_min_cover(_Deadline(None), steps, width, *COVER_FACTS[name])
+
+
+def reference_plan(rows):
+    """``(width, plan)`` of the reference plan generator, its steps in a list."""
+    last = reference_last_neighbours(rows)
+    return reference_frontier_width(last), list(reference_frontier_plan(rows, last))
 
 
 def scored_dp(g, name):
-    """The score-carrying reference DP on the cover kernel's rows, over the same plan."""
-    last, width = _frontier_shape(g.adj)
-    plan = paired_plan(_frontier_plan(g.adj, last))
+    """The score-carrying reference DP on the cover kernel's rows, over the reference plan."""
+    width, plan = reference_plan(g.adj)
     rows = cover_rows(g, name)
-    return scored_frontier_min_cover(_Deadline(None), *rows, plan, width)
+    return scored_frontier_min_cover(_Deadline(None), *rows, paired_plan(plan), width)
+
+
+def as_masks(plan):
+    """A reference plan's steps with their slot tuples turned into slot bitmasks."""
+    return [
+        (sum(1 << s for s in near), sum(1 << s for s in leaving), own)
+        for near, leaving, own in plan
+    ]
+
+
+def last_of_steps(steps):
+    """For each vertex, the vertex at which it leaves the frontier, read back from the plan."""
+    last = list(range(len(steps)))
+    holder = {}  # slot -> the frontier vertex in it
+    for v, (near, leaving, own) in enumerate(steps):
+        for s in range(leaving.bit_length()):
+            if (leaving >> s) & 1:
+                last[holder.pop(s)] = v
+        if own >= 0:
+            holder[own] = v
+    return last
 
 
 def defined(g, name):
@@ -369,24 +400,36 @@ class TestMaxIndependentReference:
         assert isolated > 100
 
 
+def labelled_rows(top):
+    """The adjacency rows of every labelled graph of order at most ``top``."""
+    for n in range(top + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for k, (u, v) in enumerate(pairs):
+                if (mask >> k) & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            yield tuple(rows)
+
+
 class TestFrontierShape:
-    """The one-pass shape against the two-pass reference it replaced."""
+    """The one-pass plan against the two-pass shape and the plan generator it replaced."""
 
     @staticmethod
     def assert_matches_reference(rows):
         last = reference_last_neighbours(rows)
-        assert _frontier_shape(rows) == (last, reference_frontier_width(last))
+        width, steps = frontier_steps(rows)
+        assert (last_of_steps(steps), width) == (last, reference_frontier_width(last))
+        assert steps == as_masks(reference_plan(rows)[1])
+        # under a cap the pass stops as soon as the width passes it
+        assert _frontier_steps(rows, width, _Deadline(None)) == (width, steps)
+        if width:
+            assert _frontier_steps(rows, width - 1, _Deadline(None)) == (width, None)
 
     def test_every_labelled_graph_up_to_order_six(self):
-        for n in range(7):
-            pairs = list(combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                rows = [0] * n
-                for k, (u, v) in enumerate(pairs):
-                    if (mask >> k) & 1:
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
-                self.assert_matches_reference(tuple(rows))
+        for rows in labelled_rows(6):
+            self.assert_matches_reference(rows)
 
     def test_paths_cycles_and_their_products_with_complete_graphs(self):
         for m in (*range(1, 101), 900, 2999, 3000):
@@ -419,21 +462,26 @@ class TestFrontierPlan:
         ]
         graphs += [make_cycle(m) for m in range(3, 40)]
         for g in graphs:
-            last, width = _frontier_shape(g.adj)
-            plan = list(_frontier_plan(g.adj, last))
+            width, plan = frontier_steps(g.adj)
             assert len(plan) == g.n
             slot = {}
             for v, (near, leaving, own) in enumerate(plan):
                 frontier = [u for u in range(v) if g.adj[u] >> v]  # a neighbour from v on
-                assert near == tuple(slot[u] for u in frontier if (g.adj[v] >> u) & 1)
-                assert leaving == tuple(slot[u] for u in frontier if not g.adj[u] >> (v + 1))
+                assert near == sum(1 << slot[u] for u in frontier if (g.adj[v] >> u) & 1)
+                assert leaving == sum(1 << slot[u] for u in frontier if not g.adj[u] >> (v + 1))
                 assert (own == -1) == (not g.adj[v] >> (v + 1))
                 if own >= 0:
                     slot[v] = own
                 held = [slot[u] for u in range(v + 1) if g.adj[u] >> (v + 1)]
                 assert len(set(held)) == len(held)
                 assert all(0 <= s < width for s in held)
-                assert all(0 <= s < width for s in near)
+                assert near >> width == 0
+
+    def test_equal_steps_are_one_tuple(self):
+        product = direct_product(make_path(50), make_complete(3)).graph
+        for g in (make_path(300), make_cycle(300), product):
+            steps = frontier_steps(g.adj)[1]
+            assert len({id(step) for step in steps}) == len(set(steps))
 
 
 class TestFrontierDP:
@@ -444,7 +492,7 @@ class TestFrontierDP:
         for g in graphs:
             rows = cover_rows(g, name)
             union = tuple(a | b | c for a, b, c in zip(*rows))
-            assert _frontier_shape(union) == _frontier_shape(g.adj)
+            assert frontier_steps(union) == frontier_steps(g.adj)
 
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_branch_and_bound_up_to_order_seven(self, name):
@@ -541,7 +589,7 @@ class TestLayerMemo:
         for _ in range(500):
             band = rng.randint(0, 6)
             g = narrow_graph(rng, rng.randint(1, 60), band, rng.uniform(0.05, 0.9))
-            last, width = _frontier_shape(g.adj)
+            last, width = reference_last_neighbours(g.adj), frontier_steps(g.adj)[0]
             assert width <= band
             # no edge joins vertices up to v with those after v
             reach = list(accumulate(last, max))
@@ -556,7 +604,7 @@ class TestLayerMemo:
         # on this graph no (plan step, layer id) recurs (measured), so every
         # vertex is worked out and its layer stored
         g = narrow_graph(random.Random(5), 3000, 5, 0.5)
-        assert _frontier_shape(g.adj)[1] == 5
+        assert frontier_steps(g.adj)[0] == 5
         tracemalloc.start()
         try:
             result = frontier_dp(g, "i")
@@ -565,6 +613,93 @@ class TestLayerMemo:
             tracemalloc.stop()
         assert result == scored_dp(g, "i")
         assert peak < 16 * 2**20
+
+
+def with_edges(g, edges):
+    """``g`` with ``edges`` added."""
+    return build_graph(g.n, list(g.edges()) + edges)
+
+
+class TestRepeatedBlocks:
+    """The DP that copies repeated blocks against the old one, value and witness bits.
+
+    The old DP (``reference_frontier_min_cover``) works out or looks up every
+    vertex over the old plan generator's steps.
+    """
+
+    @staticmethod
+    def assert_matches_reference(g, names=COVER_INVARIANTS):
+        width, steps = frontier_steps(g.adj)
+        reference_width, plan = reference_plan(g.adj)
+        for name in names:
+            if defined(g, name):
+                facts = COVER_FACTS[name]
+                found = _frontier_min_cover(_Deadline(None), steps, width, *facts)
+                expected = reference_frontier_min_cover(
+                    _Deadline(None), iter(plan), reference_width, *facts
+                )
+                assert found == expected, (name, g.adj)
+
+    def test_every_labelled_graph_up_to_order_six(self):
+        for rows in labelled_rows(6):
+            self.assert_matches_reference(Graph._trusted(len(rows), rows))
+
+    def test_paths_and_cycles(self):
+        for m in (*range(1, 101), 299, 300, 301, 899, 900, 2999, 3000):
+            self.assert_matches_reference(make_path(m))
+            if m >= 3:
+                self.assert_matches_reference(make_cycle(m))
+
+    def test_products_with_complete_graphs(self):
+        """``P_m x K_n`` and ``C_m x K_n`` for n <= 4 up to m = 300.
+
+        ``C_m x K_4`` has width 10, where one gamma or gamma_t solve takes
+        about 1 s in either DP whatever m, so it is checked on i alone.
+        """
+        for n in (1, 2, 3, 4):
+            for m in (*range(1, 25), 100, 299, 300):
+                self.assert_matches_reference(direct_product(make_path(m), make_complete(n)).graph)
+            names = COVER_INVARIANTS if n < 4 else ("i",)
+            for m in (*range(3, 13), 100, 300):
+                cycle = direct_product(make_cycle(m), make_complete(n)).graph
+                self.assert_matches_reference(cycle, names)
+
+    def test_seeded_banded_graphs(self):
+        rng = random.Random(2222)
+        for _ in range(500):
+            band = rng.randint(0, 6)
+            g = narrow_graph(rng, rng.randint(1, 120), band, rng.choice((0.2, 0.5, 0.9, 0.98, 1.0)))
+            self.assert_matches_reference(g)
+
+    def test_last_blocks_that_differ(self):
+        """Periodic graphs whose end breaks the period: a chord or a pendant near the end."""
+        for m in (30, 31, 32, 100, 299, 300):
+            path, cycle = make_path(m), make_cycle(m)
+            for extra in ([(m - 5, m - 2)], [(m - 3, m - 1)], [(m - 10, m - 1)], [(0, m - 4)]):
+                self.assert_matches_reference(with_edges(path, extra))
+                self.assert_matches_reference(with_edges(cycle, extra))
+            pendant = build_graph(m + 1, list(path.edges()) + [(m - 2, m)])
+            self.assert_matches_reference(pendant)
+            product = direct_product(make_path(m // 3), make_complete(3)).graph
+            self.assert_matches_reference(with_edges(product, [(product.n - 7, product.n - 1)]))
+
+    def test_repeated_blocks_are_copied(self):
+        """The DP reads the clock once for each vertex it works out and each block it copies."""
+
+        class CountingDeadline(_Deadline):
+            def __init__(self):
+                super().__init__(None)
+                self.ticks = 0
+
+            def tick(self):
+                self.ticks += 1
+
+        for g in (make_path(3000), make_cycle(3000)):
+            width, steps = frontier_steps(g.adj)
+            for name in COVER_INVARIANTS:
+                deadline = CountingDeadline()
+                _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
+                assert deadline.ticks < 50, (g.n, name)
 
 
 class TestEnumeration:
@@ -635,6 +770,14 @@ class TestLimits:
         for solver in (independence_number, two_packing_number):
             with pytest.raises(BudgetExhausted):
                 solver(g, SolverLimits(vertex_cap=120, budget_secs=0.01))
+
+    def test_budget_on_a_long_path(self):
+        # i and gamma on path:20000 take the frontier plan and DP, which read
+        # the clock too; each answer takes several milliseconds
+        g = make_path(20000)
+        for solver in (independent_domination_number, domination_number):
+            with pytest.raises(BudgetExhausted):
+                solver(g, SolverLimits(vertex_cap=20000, budget_secs=0.001))
 
     def test_searches_do_not_recurse(self):
         # each search keeps its own stack: 600 vertices deep under a limit of 200

@@ -8,7 +8,6 @@ from idomlab.families import build_family, make_complete, make_cycle, make_path
 from idomlab.graph import build_graph
 from idomlab.invariants import (
     SolverLimits,
-    _frontier_shape,
     enumerate_maximal_independent_sets,
     independent_domination_number,
     is_dominating,
@@ -29,7 +28,12 @@ from idomlab.labelling import (
 from idomlab.products import direct_product
 from idomlab.smallgraphs import all_graphs, random_connected_graph, random_graph
 
-from oracles import brute_least_labelling, brute_min_weight_labelling, reference_search_min_weight
+from oracles import (
+    brute_least_labelling,
+    brute_min_weight_labelling,
+    reference_last_neighbours,
+    reference_search_min_weight,
+)
 
 FIGURE_PATTERN = (1, 1, 0, 2, 2, 0, 1, 1, 0, 2, 2, 0, 3, 3, 3, 0)
 
@@ -417,9 +421,11 @@ class TestSearch:
         cases = 0
         for g, n, allow_layer_label in search_cases():
             runs = []
+            last = reference_last_neighbours(g.adj)
             for search in (labelling._search_min_weight, reference_search_min_weight):
                 deadline = CountingDeadline()
-                found = search(deadline, g.adj, n, allow_layer_label, _frontier_shape(g.adj)[0])
+                extra = (last,) if search is reference_search_min_weight else ()
+                found = search(deadline, g.adj, n, allow_layer_label, *extra)
                 runs.append((found, deadline.ticks))
             assert runs[0] == runs[1], (g.adj, n, allow_layer_label)
             cases += 1
