@@ -204,10 +204,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             product_spec = parse_family(args.product)
             right = build_family(product_spec)
             subject = {"product": [subject, {"family": str(product_spec)}]}
-            if args.invariant == "i" and product_spec.kind == "complete":
-                order = product_spec.params[0]
-                if order < 2:
-                    raise SystemExit("the complete factor must have order at least 2")
+            order = product_spec.params[0] if product_spec.kind == "complete" else 0
+            # G x K_1 is edgeless, so i of it is the order of G: the product route below
+            if args.invariant == "i" and order >= 2:
                 total = check_product_order(graph.n, order)
                 labelling, value = minimize_weight(graph, order, limits)
                 witness = to_independent_set(graph, labelling)

@@ -9,9 +9,11 @@ earlier form, kept to compare node counts as well as results.  The frontier
 references are the solver's earlier forms too: the two-pass frontier shape
 (``reference_last_neighbours`` and ``reference_frontier_width``), the
 frontier plan generator (``reference_frontier_plan``), which the solver's
-one-pass ``_frontier_steps`` replaced, and the cover DP that works out or
-looks up every vertex (``reference_frontier_min_cover``).  The
-score-carrying frontier DP reads the reference plan.
+one-pass ``_frontier_steps`` replaced, that one-pass plan as it stood before
+it learned to copy repeated blocks (``reference_frontier_steps``), and the
+cover DP that works out or looks up every vertex
+(``reference_frontier_min_cover``).  The score-carrying frontier DP reads
+the reference plan.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from typing import Iterator
+from typing import Iterator, Optional
 
 from idomlab.graph import Graph, VertexSet, _bits_of
 from idomlab.invariants import _Deadline, _clique_cover_bound
@@ -396,6 +398,61 @@ def reference_frontier_min_cover(
             members |= 1 << v
         rank >>= 1
     return size, members
+
+
+# The one-pass plan before it copied repeated blocks: it works out every
+# vertex.  It is the exact reference for ``_frontier_steps``, object for
+# object.
+
+
+def reference_frontier_steps(
+    rows: tuple[int, ...], cap: int, deadline: _Deadline
+) -> tuple[int, Optional[list[tuple[int, int, int]]]]:
+    """Return ``(width, steps)``: the frontier plan of symmetric adjacency rows.
+
+    ``width`` is the most decided vertices that still have an undecided
+    neighbour, and ``steps`` holds one step per vertex in index order.  Step
+    ``v`` is ``(near, leaving, own)``: ``near`` has the bit of the slot of
+    each frontier neighbour of ``v``, ``leaving`` that of each frontier
+    vertex whose last neighbour is ``v``, and ``own`` is the slot ``v``
+    takes, or -1 when no later vertex neighbours it.  Every slot is below
+    ``width``.  Equal steps are one tuple.  The pass stops as soon as the
+    width passes ``cap``, and then returns ``(cap + 1, None)``.  It reads the
+    budget every 1024 vertices.
+    """
+    n = len(rows)
+    near_at = [0] * n  # slot bits of the frontier neighbours of v
+    leave_at = [0] * n  # those of the frontier vertices whose last neighbour is v
+    first_at = [0] * n  # the slot of the lowest-index of the latter
+    interned: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    steps = []
+    taken = width = 0  # a bit for each slot held by a frontier vertex
+    for v, row in enumerate(rows):
+        if not v & 1023:
+            deadline.tick()
+        leaving = leave_at[v]  # every leaving vertex is a neighbour of v
+        taken ^= leaving
+        own = -1
+        later = row >> (v + 1)  # bit k for neighbour v + 1 + k
+        if later:
+            own = first_at[v] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            bit = 1 << own
+            taken |= bit
+            end = v + later.bit_length()
+            if not leave_at[end]:
+                first_at[end] = own
+            leave_at[end] |= bit
+            while later:
+                low = later & -later
+                later ^= low
+                near_at[v + low.bit_length()] |= bit
+            if taken.bit_count() > width:
+                width += 1
+                if width > cap:
+                    return width, None
+        step = (near_at[v], leaving, own)
+        steps.append(interned.setdefault(step, step))
+    return width, steps
 
 
 def paired_plan(plan: Iterator[tuple]) -> Iterator[tuple]:

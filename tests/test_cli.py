@@ -42,6 +42,17 @@ class TestCompute:
         payload = json.loads(out.strip())
         assert payload["value"] == 11 and payload["verdict"] == "verified"
 
+    def test_product_with_k1_is_edgeless(self, capsys):
+        # G x K_1 has no edge: i is the order of G, as gamma and alpha there
+        for invariant in ("i", "gamma", "alpha"):
+            code, out, _ = run_cli(
+                capsys,
+                "compute", "--graph", "path:5", "--product", "complete:1", "--invariant", invariant,
+            )
+            assert code == 0
+            payload = json.loads(out.strip())
+            assert (payload["value"], payload["witness"]) == (5, [0, 1, 2, 3, 4])
+
     def test_x3(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--graph", "X:3", "--invariant", "i")
         assert code == 0

@@ -56,6 +56,7 @@ from oracles import (
     paired_plan,
     reference_frontier_min_cover,
     reference_frontier_plan,
+    reference_frontier_steps,
     reference_frontier_width,
     reference_last_neighbours,
     reference_max_independent,
@@ -685,21 +686,186 @@ class TestRepeatedBlocks:
 
     def test_repeated_blocks_are_copied(self):
         """The DP reads the clock once for each vertex it works out and each block it copies."""
-
-        class CountingDeadline(_Deadline):
-            def __init__(self):
-                super().__init__(None)
-                self.ticks = 0
-
-            def tick(self):
-                self.ticks += 1
-
         for g in (make_path(3000), make_cycle(3000)):
             width, steps = frontier_steps(g.adj)
             for name in COVER_INVARIANTS:
                 deadline = CountingDeadline()
                 _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
                 assert deadline.ticks < 50, (g.n, name)
+
+
+def band_rows(n, band):
+    """Rows of the graph on ``n`` vertices joining every two at most ``band`` apart."""
+    return build_graph(n, [(u, v) for v in range(n) for u in range(max(0, v - band), v)]).adj
+
+
+def broken(m, kind):
+    """Paths and cycles of order ``m`` broken in the middle and near either end.
+
+    Each gets a chord, a pendant vertex (added as vertex ``m``) or a missing
+    edge at one of three places.
+    """
+    base = make_path(m) if kind == "path" else make_cycle(m)
+    edges = list(base.edges())
+    graphs = []
+    for at in (1, m // 2, m - 4):
+        graphs.append(build_graph(m, edges + [(at - 1, at + 2)]))  # a chord
+        graphs.append(build_graph(m + 1, edges + [(at, m)]))  # a pendant
+        graphs.append(build_graph(m, [e for e in edges if e != (at, at + 1)]))  # a missing edge
+    return graphs
+
+
+class CountingDeadline(_Deadline):
+    """Counts its clock reads, and raises on the ``stop``-th one when ``stop`` is set.
+
+    When ``at`` is given, each read also records the length of the ``steps``
+    list of the function that reads the clock.
+    """
+
+    def __init__(self, stop=None, at=None):
+        super().__init__(None)
+        self.ticks = 0
+        self.stop = stop
+        self.at = at
+
+    def tick(self):
+        self.ticks += 1
+        if self.at is not None:
+            self.at.append(len(sys._getframe(1).f_locals["steps"]))
+        if self.ticks == self.stop:
+            raise BudgetExhausted("solver budget exhausted")
+
+
+class TestPlanCopy:
+    """The plan pass that copies repeated blocks against the one that works out every vertex.
+
+    Both return the same width and an equal list of steps, equal steps one
+    object, and the same ``(cap + 1, None)`` under a cap the width passes.
+    """
+
+    @staticmethod
+    def assert_matches_reference(rows):
+        for cap in (len(rows), 0, 2, 6):
+            width, steps = _frontier_steps(rows, cap, _Deadline(None))
+            expected = reference_frontier_steps(rows, cap, _Deadline(None))
+            assert (width, steps) == expected, (cap, rows[:8])
+            if steps is not None:
+                assert len({id(step) for step in steps}) == len(set(steps))
+
+    def test_every_labelled_graph_up_to_order_six(self):
+        for rows in labelled_rows(6):
+            self.assert_matches_reference(rows)
+
+    def test_paths_and_cycles(self):
+        for m in (*range(1, 101), 299, 300, 301, 899, 900, 2999, 3000, 20000):
+            self.assert_matches_reference(make_path(m).adj)
+            if m >= 3:
+                self.assert_matches_reference(make_cycle(m).adj)
+
+    def test_products_with_complete_graphs(self):
+        for n in (1, 2, 3, 4):
+            for m in (*range(1, 31), 100, 301):
+                factors = [make_path(m)] + ([make_cycle(m)] if m >= 3 else [])
+                for g in factors:
+                    self.assert_matches_reference(direct_product(g, make_complete(n)).graph.adj)
+
+    def test_seeded_narrow_graphs(self):
+        rng = random.Random(2323)
+        for _ in range(500):
+            band = rng.randint(0, 8)
+            p = rng.choice((0.2, 0.5, 0.9, 0.98, 1.0))
+            self.assert_matches_reference(narrow_graph(rng, rng.randint(0, 200), band, p).adj)
+
+    def test_periods_broken_in_the_middle_and_near_either_end(self):
+        for m in (12, 100, 301, 900):
+            for kind in ("path", "cycle"):
+                for g in broken(m, kind):
+                    self.assert_matches_reference(g.adj)
+        for m in (30, 101):
+            product = direct_product(make_path(m), make_complete(3)).graph
+            for at in (4, product.n // 2, product.n - 9):
+                self.assert_matches_reference(with_edges(product, [(at, at + 5)]).adj)
+
+    def test_far_edges_held_across_copied_stretches(self):
+        # vertex 0 or 1 keeps its slot until the middle, where it must land exactly
+        for m in (40, 301, 3000):
+            path = make_path(m)
+            for edges in (
+                [(0, m // 2)],
+                [(1, m // 2)],
+                [(0, m // 3), (1, 2 * m // 3)],
+                [(0, m // 2), (0, m - 1)],
+                [(1, m // 2 + 1), (m // 2, m - 1)],
+            ):
+                self.assert_matches_reference(with_edges(path, edges).adj)
+        cycle = direct_product(make_cycle(200), make_complete(3)).graph
+        self.assert_matches_reference(with_edges(cycle, [(1, 300)]).adj)
+
+    def test_seeded_periodic_patterns_with_far_edges(self):
+        """Edges repeating with period q <= 5, plus far edges from the first vertices.
+
+        The far edges give the frontier old holders whose neighbours land
+        inside a period, so two periods of equal later-neighbour masks can
+        still hold unequal steps.
+        """
+        rng = random.Random(2626)
+        for _ in range(400):
+            q, band, m = rng.randint(1, 5), rng.randint(1, 3), rng.randint(80, 200)
+            pattern = [(i, d) for i in range(q) for d in range(1, band + 1) if rng.random() < 0.6]
+            edges = {(u, u + d) for u in range(m) for i, d in pattern if u % q == i and u + d < m}
+            edges |= {(rng.randint(0, 3), rng.randint(10, m - 1)) for _ in range(rng.randint(1, 3))}
+            self.assert_matches_reference(build_graph(m, sorted(edges)).adj)
+
+    def test_periods_that_start_late_or_change_once(self):
+        rng = random.Random(2424)
+        for m in (60, 500, 2000):
+            head = narrow_graph(rng, m // 5, 3, 0.5)
+            tail = [(u, u + 1) for u in range(m // 5 - 1, m - 1)]  # a path after a random head
+            self.assert_matches_reference(build_graph(m, list(head.edges()) + tail).adj)
+            half = [(u, u + 1) for u in range(m - 1)] + [(u, u + 2) for u in range(m // 2, m - 2)]
+            self.assert_matches_reference(build_graph(m, half).adj)  # period 1, then band 2
+            self.assert_matches_reference(band_rows(m, 3)[: m // 2] + make_path(m).adj[m // 2 :])
+
+    def test_clock_reads(self):
+        """The pass reads the clock once per copied block and once per 1024 worked vertices.
+
+        Between two reads it either works out at most 1024 vertices or
+        copies one block, which is never longer than the steps before it.
+        """
+        rng = random.Random(2525)
+        graphs = [make_path(20000), make_cycle(3000), narrow_graph(rng, 3000, 4, 0.5)]
+        graphs.append(with_edges(make_path(3000), [(0, 1500)]))
+        for g in graphs:
+            at = []
+            assert _frontier_steps(g.adj, 6, CountingDeadline(at=at))[1] is not None
+            assert at[0] == 0
+            for before, after in zip(at, at[1:] + [g.n]):
+                assert before <= after <= before + max(1024, before), (g.n, at)
+        # where no two periods of steps repeat, every vertex is worked out
+        at = []
+        _frontier_steps(narrow_graph(rng, 3000, 6, 0.5).adj, 6, CountingDeadline(at=at))
+        assert at == [0, 1024, 2048]
+        # pass and DP together, on a long path and a long cycle
+        for g in (make_path(3000), make_cycle(3000)):
+            for name in COVER_INVARIANTS:
+                deadline = CountingDeadline()
+                width, steps = _frontier_steps(g.adj, 6, deadline)
+                _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
+                assert deadline.ticks < 50, (g.n, name, deadline.ticks)
+
+    def test_packed_candidates_fit_up_to_width_fourteen(self):
+        """The DP packs each candidate into a signed 64-bit entry, which holds up to width 14.
+
+        Bits below a candidate's size: 4 * 14 + 1 = 57, leaving sizes in
+        -64..63; at width 15 (61 bits) gamma overflows on this band graph.
+        """
+        assert invariants._DP_MAX_WIDTH <= 14
+        g = build_graph(60, [(u, v) for v in range(60) for u in range(max(0, v - 14), v)])
+        width, steps = _frontier_steps(g.adj, 14, _Deadline(None))
+        assert width == 14
+        for name in ("i", "gamma"):
+            found = _frontier_min_cover(_Deadline(None), steps, width, *COVER_FACTS[name])
+            assert found == forced_search(g, name)
 
 
 class TestEnumeration:
@@ -773,11 +939,19 @@ class TestLimits:
 
     def test_budget_on_a_long_path(self):
         # i and gamma on path:20000 take the frontier plan and DP, which read
-        # the clock too; each answer takes several milliseconds
+        # the clock too; the plan's later-neighbour masks alone take over a
+        # millisecond there
         g = make_path(20000)
+        limits = SolverLimits(vertex_cap=20000, budget_secs=1e-4)
         for solver in (independent_domination_number, domination_number):
             with pytest.raises(BudgetExhausted):
-                solver(g, SolverLimits(vertex_cap=20000, budget_secs=0.001))
+                solver(g, limits)
+            # whatever the host's speed: a clock that runs out on its k-th read
+            for stop in (2, 5, 10):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(invariants, "_Deadline", lambda budget: CountingDeadline(stop))
+                    with pytest.raises(BudgetExhausted):
+                        solver(g, limits)
 
     def test_searches_do_not_recurse(self):
         # each search keeps its own stack: 600 vertices deep under a limit of 200
