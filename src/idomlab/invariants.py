@@ -10,9 +10,9 @@ of its square, under a clique-cover bound.  Only ``i``, ``gamma`` and
 (paths, cycles, ``P_m x K_n`` for n <= 4) take a dynamic program over the
 vertex order instead, which works out each distinct transition between its
 layers of states once per solve and copies runs of layers that repeat, over
-a plan of the vertex order that copies its own repeated runs, so that where
-the graph and the layers recur, as on those families, its cost follows the
-number of distinct layers, not the order.
+a plan of the vertex order that copies the runs of a path, so that where
+layers recur, as on those families, its cost follows the number of distinct
+layers, not the order.
 Every result carries a witness set that re-verifies under the matching
 predicate, and the reported witness is always the lexicographically
 smallest optimum, so results do not depend on traversal or worker
@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from operator import rshift
+from itertools import islice
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
@@ -333,54 +333,43 @@ def _cover_leaves(
 _DP_MIN_ORDER = 24
 _DP_MAX_WIDTH = 6
 
-# The longest period the cover DP and the plan look for repeated blocks at,
-# so that a repeat that does not pay off costs at most this many step
-# comparisons.  Measured periods of i and gamma in the DP: 3 vertices on
-# paths and cycles, 12 rows of the product on P_m x K_n and C_m x K_n, so 48
-# vertices at n = 4; the plan's own periods are shorter.
+# The longest period the cover DP looks for repeated blocks at, so that a
+# repeat that does not pay off costs at most this many step comparisons.
+# Measured periods of i and gamma: 3 vertices on paths and cycles, 12 rows of
+# the product on P_m x K_n and C_m x K_n, so 48 vertices at n = 4.  The plan
+# pass looks for the run of a path once every this many vertices, and starts
+# none with fewer than this many left; it reads the clock at every 1024th
+# vertex within those looks, so this must be a power of two no larger than
+# 1024.
 _REPEAT_MAX_PERIOD = 64
 
 
-def _window(reach: int, length: int) -> int:
-    """``reach``'s bits below ``length``, and one bit above them if it reaches further."""
-    return reach & ((1 << length) - 1) | (reach >> length != 0) << length
-
-
-# The plan copies repeated blocks as the cover DP copies layers.  The
-# frontier's state at ``v`` is the slots taken and, in index order of their
-# holders, each holder's later neighbours as offsets from ``v``.  Steps ``v``
-# to ``v + b - 1`` follow from that state and the later-neighbour masks of
-# those ``b`` vertices alone: ``near`` and ``leaving`` read the offsets and
-# the masks, and ``own`` is the slot of the lowest-index leaving holder or the
-# lowest free one.  So where the state at ``v`` is the state at ``s`` as seen
-# from within ``b`` vertices, and the ``b`` masks from ``v`` are those from
-# ``s``, ``steps[v:v + b]`` is ``steps[s:s + b]``, and the width stays what it
-# was over them.
+# The plan copies the runs of a path, as the cover DP copies layers.  A
+# vertex ``w`` whose one later neighbour is ``w + 1``, and whose only
+# frontier neighbour is ``w - 1``, which leaves at ``w``, takes the slot of
+# ``w - 1`` and hands it on to ``w + 1``: its step is that slot's bit as
+# ``near`` and as ``leaving``, and the slot as ``own``, and the slots taken
+# stay as they were.  The pass looks for a vertex ``v`` where ``v - 1`` made
+# such a step and handed its slot to ``v``, and ``v`` sees nothing else;
+# then ``v`` and each later vertex whose one later neighbour is the next and
+# that no earlier frontier vertex (an old holder) neighbours make that step
+# too.  The old holders have registered their near entries for every later
+# vertex, and one that leaves at a vertex neighbours it, so a run goes on
+# while the entries at its vertices are empty: a far neighbour, like a
+# cycle's closing edge to vertex 0, only keeps its holder's slot, and the run
+# stops just before it.  The pass tests the run block by block, doubling the
+# blocks and halving them once it stops, with a clock read per block, and
+# copies the tuple of ``v - 1`` itself, so equal steps stay one object,
+# which the DP's repeat test reads.  After a run its last vertex holds the
+# slot and leaves at the next vertex, where it is registered last, after the
+# old holders, so the lowest-index leaving holder stays first.
 #
-# The pass looks for such an ``s`` where two equal periods of ``p`` steps end
-# at ``v``, from ``base = s - p`` to ``s`` and from ``s`` to ``v``.  It keeps
-# ``p`` while the steps repeat ``p`` back and counts them; where they stop, it
-# takes for ``p`` the distance back to where the same two steps in a row were
-# last seen, so that a period in which every step recurs, like the
-# ``A A B B`` of ``P_m x K_2``, is found as well as one with a step of its
-# own.  Once about ``p`` steps have repeated, it compares the two periods
-# whole; a match costs a few operations, the search a dictionary look-up,
-# which is what the pass pays on a graph that never repeats.  Then the
-# same slots are taken at ``s`` and at ``v``, since the last event of a slot
-# in a period, taken or freed, decides whether it is held after the period;
-# a slot taken in a period is held at ``v`` by its last taker ``h`` and at
-# ``s`` by ``h - p``; and a slot taken in neither is held at both by one old
-# vertex.  When the masks repeat every ``p`` from ``base`` on, ``h`` and
-# ``h - p`` have the same offsets, so only the old holders' offsets are
-# checked, block by block.  An old holder's neighbour at or past a block's
-# end changes no step within it, so there it only has to keep the holder in
-# its slot: a cycle's closing edge, which holds vertex 0 from start to end,
-# lets the blocks run up to it.  The pass copies ``steps[s:s + b]`` itself,
-# so equal steps stay one tuple, which the DP's repeat test reads.  After a
-# stretch of ``t`` copied vertices each slot taken in a period is held by the
-# vertex ``t`` after its holder; only those holders' neighbours past the
-# stretch are registered again, in index order after the old holders', which
-# are still in place, so the lowest-index leaving holder stays first.
+# The pass looks for a run only at every ``_REPEAT_MAX_PERIOD``-th vertex, in
+# the test that reads the clock, so a vertex worked out costs what it did
+# before copies.  An attempt that copies fewer vertices than were worked out
+# since the one before doubles the distance to the next, so where short runs
+# are everywhere and few last, as on sparse random graphs, the pass makes a
+# handful of attempts in all.
 
 
 def _frontier_steps(
@@ -397,125 +386,87 @@ def _frontier_steps(
     ``width``.  Equal steps are one tuple.  The pass stops as soon as the
     width passes ``cap``, and then returns ``(cap + 1, None)``.
 
-    Vertices are worked out one by one until two equal periods of at most
-    ``_REPEAT_MAX_PERIOD`` steps end at one; from there, while the
-    later-neighbour masks and the frontier's old holders keep repeating, the
-    pass copies blocks of steps, doubling them as it goes and halving them
-    once they stop, as the cover DP copies layers.  It reads the budget
-    every 1024 worked vertices and before each copied block.
+    Vertices are worked out one by one, but where a look every
+    ``_REPEAT_MAX_PERIOD`` vertices finds the run of a path, one step repeats
+    along it, and the pass copies that step in doubling blocks, as the cover
+    DP copies layers.  It reads the budget every 1024 vertices and before
+    each copied block.
     """
     n = len(rows)
     near_at = [0] * n  # slot bits of the frontier neighbours of v
     leave_at = [0] * n  # those of the frontier vertices whose last neighbour is v
     first_at = [0] * n  # the slot of the lowest-index of the latter
-    holder: dict[int, int] = {}  # slot -> the vertex in it, as of vertex ``synced``
-    synced = 0
     interned: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    ended: dict[tuple[int, int], int] = {}  # two steps' ids -> where they were last seen ending
     steps = []
     taken = width = 0  # a bit for each slot held by a frontier vertex
     room = n - _REPEAT_MAX_PERIOD
-    p, run = 1, 0  # the period looked at, and about how many steps in a row repeat p back
-    v = 0
-    while v < n:
-        deadline.tick()
-        for v, row in enumerate(rows[v : v + 1024], v):
-            leaving = leave_at[v]  # every leaving vertex is a neighbour of v
-            taken ^= leaving
-            own = -1
-            later = row >> (v + 1)  # bit k for neighbour v + 1 + k
-            if later:
-                own = first_at[v] if leaving else (~taken & (taken + 1)).bit_length() - 1
-                bit = 1 << own
-                taken |= bit
-                end = v + later.bit_length()
-                if not leave_at[end]:
-                    first_at[end] = own
-                leave_at[end] |= bit
-                while later:
-                    low = later & -later
-                    later ^= low
-                    near_at[v + low.bit_length()] |= bit
-                if taken.bit_count() > width:
-                    width += 1
-                    if width > cap:
-                        return width, None
-            step = (near_at[v], leaving, own)
-            known = interned.setdefault(step, step)
-            steps.append(known)
-            # a repeat starts only at a step seen before, and only where more
-            # than _REPEAT_MAX_PERIOD vertices are left to copy
-            if known is not step and v < room:
-                if known is steps[v - p]:
-                    run += 1
-                else:  # a new p: back to where the same two steps were last seen
-                    pair = id(steps[v - 1]), id(known)
-                    seen = ended.setdefault(pair, v)
-                    run = 0
-                    if seen < v:
-                        ended[pair] = v
-                        if v - seen <= _REPEAT_MAX_PERIOD:
-                            p, run = v - seen, 2
-                base = v + 1 - 2 * p
-                # two equal periods of steps end at v, from base on; a copy
-                # needs the later masks to repeat every p too, through the
-                # period after v
-                if run >= p and base >= 0 and steps[base : v + 1 - p] == steps[v + 1 - p :]:
-                    run = 0
-                    top = v + 1 + p
-                    masks = list(map(rshift, rows[base:top], range(base + 1, top + 1)))
-                    if masks[: 2 * p] == masks[p:]:
-                        break
-        else:  # 1024 vertices worked out, or all of them
-            v += 1
-            continue
-        v += 1
-        s = v - p
-        for u in range(synced, v):  # bring the holders up to date
-            own = steps[u][2]
-            if own >= 0:
-                holder[own] = u
-        synced = v
-        slots = [slot for slot in range(width) if taken >> slot & 1]
-        old = [holder[slot] for slot in slots if holder[slot] < s]  # held across both periods
-        start = v
-        block = p
-        grow = True
-        while block:
-            fits = v + block <= n
-            if fits and len(masks) < v + block - base:
-                top = base + len(masks)
-                masks += map(rshift, rows[top : v + block], range(top + 1, v + block + 1))
-            if (
-                fits
-                and masks[v - base : v - base + block] == masks[:block]
-                and all(_window(rows[h] >> v, block) == _window(rows[h] >> s, block) for h in old)
-            ):
+    look = _REPEAT_MAX_PERIOD - 1  # a run may start where v & look is 0,
+    retry = gap = _REPEAT_MAX_PERIOD  # from vertex retry on, gap after the last attempt
+    it = enumerate(rows)
+    for v, row in it:
+        if not v & look:
+            if not v & 1023:
                 deadline.tick()
-                steps += steps[s : s + block]
-                v += block
-                if grow:  # double while the masks and the old holders keep repeating
-                    block = v - s
-            else:  # halve, in whole periods, once they stop
-                grow = False
-                block = block // (2 * p) * p
-        if v == start:
-            continue
-        for h, slot in sorted((holder[slot], slot) for slot in slots):
-            if h >= s:  # taken in a period, so held v - start vertices on
-                h += v - start
-                holder[slot] = h
-                bit = 1 << slot
-                later = rows[h] >> v  # bit k for neighbour v + k
-                end = v - 1 + later.bit_length()
-                if not leave_at[end]:
-                    first_at[end] = slot
-                leave_at[end] |= bit
-                while later:
-                    low = later & -later
-                    later ^= low
-                    near_at[v - 1 + low.bit_length()] |= bit
-        synced = v
+            if (
+                retry <= v < room
+                and rows[v - 1].bit_length() == v + 1
+                and row.bit_length() == v + 2
+                and near_at[v] == steps[v - 1][0] == steps[v - 1][1]
+            ):  # v - 1 and v have one later neighbour, the next, and v sees only v - 1
+                step = steps[v - 1]  # and the step of v
+                leaving, own = step[1], step[2]
+                start = v
+                steps.append(step)
+                v += 1
+                block = 1
+                grow = True
+                while block:
+                    end = v + block
+                    if (
+                        end <= n
+                        and list(map(int.bit_length, rows[v:end])) == list(range(v + 2, end + 2))
+                        and not any(near_at[v:end])
+                    ):
+                        deadline.tick()
+                        steps += [step] * block
+                        v = end
+                        if grow:  # double while the run goes on
+                            block = v - start
+                    else:  # halve once it stops
+                        grow = False
+                        block //= 2
+                copied = v - start
+                if copied < start - retry + gap:  # fewer than were worked out since the last attempt
+                    gap *= 2
+                retry = v + gap
+                next(islice(it, copied - 1, copied - 1), None)  # skip the copied vertices
+                if not leave_at[v]:  # the run's last vertex neighbours v, and leaves there
+                    first_at[v] = own
+                leave_at[v] |= leaving
+                near_at[v] |= leaving
+                continue
+        leaving = leave_at[v]  # every leaving vertex is a neighbour of v
+        taken ^= leaving
+        own = -1
+        later = row >> (v + 1)  # bit k for neighbour v + 1 + k
+        if later:
+            own = first_at[v] if leaving else (~taken & (taken + 1)).bit_length() - 1
+            bit = 1 << own
+            taken |= bit
+            end = v + later.bit_length()
+            if not leave_at[end]:
+                first_at[end] = own
+            leave_at[end] |= bit
+            while later:
+                low = later & -later
+                later ^= low
+                near_at[v + low.bit_length()] |= bit
+            if taken.bit_count() > width:
+                width += 1
+                if width > cap:
+                    return width, None
+        step = (near_at[v], leaving, own)
+        steps.append(interned.setdefault(step, step))
     return width, steps
 
 

@@ -718,8 +718,10 @@ def broken(m, kind):
 class CountingDeadline(_Deadline):
     """Counts its clock reads, and raises on the ``stop``-th one when ``stop`` is set.
 
-    When ``at`` is given, each read also records the length of the ``steps``
-    list of the function that reads the clock.
+    When ``at`` is given, each read also records how many steps
+    ``_frontier_steps`` has made so far.  The pass has no other way to show
+    that, so this reads the reading frame's local ``steps``, the list the
+    pass returns: it depends on that name.
     """
 
     def __init__(self, stop=None, at=None):
@@ -731,7 +733,10 @@ class CountingDeadline(_Deadline):
     def tick(self):
         self.ticks += 1
         if self.at is not None:
-            self.at.append(len(sys._getframe(1).f_locals["steps"]))
+            reader = sys._getframe(1)
+            assert reader.f_code is _frontier_steps.__code__, "only the plan pass records steps"
+            assert "steps" in reader.f_locals, "_frontier_steps no longer keeps its plan in `steps`"
+            self.at.append(len(reader.f_locals["steps"]))
         if self.ticks == self.stop:
             raise BudgetExhausted("solver budget exhausted")
 
@@ -801,6 +806,47 @@ class TestPlanCopy:
         cycle = direct_product(make_cycle(200), make_complete(3)).graph
         self.assert_matches_reference(with_edges(cycle, [(1, 300)]).adj)
 
+    def test_changes_at_every_offset_from_a_look(self):
+        """Paths that change at every vertex around the first looks for a run.
+
+        The pass looks for the run of a path every ``_REPEAT_MAX_PERIOD``
+        vertices, so each change is placed at each offset from a look: a far
+        edge from vertex 0, vertex 0 joined to a stretch of vertices that
+        starts or stops there (with or without a neighbour beyond), a second
+        band that starts or stops there, and an edgeless tail.
+        """
+        m = 400
+        path = list(make_path(m).edges())
+        for x in range(invariants._REPEAT_MAX_PERIOD - 4, 3 * invariants._REPEAT_MAX_PERIOD + 4):
+            for edges in (
+                path + [(0, x)],
+                path + [(0, k) for k in range(x, x + 70)],
+                path + [(0, k) for k in range(2, x)],
+                path + [(0, k) for k in range(2, x)] + [(0, m - 1)],
+                path + [(u, u + 2) for u in range(x, m - 2)],
+                path + [(u, u + 2) for u in range(x - 40, x)],
+                path[:x],
+                path[:x] + [(0, m - 1)],
+            ):
+                self.assert_matches_reference(build_graph(m, edges).adj)
+
+    def test_every_short_periodic_pattern(self):
+        """Every pattern of edges from u to u + d (d <= 3) repeating with period q <= 6, up to 9 edges.
+
+        Rotating a pattern gives another, so each meets a look at each phase.
+        Some hold runs of one repeated step that are not runs of a path.
+        """
+        m = 200
+        for q in range(1, 7):
+            for band in (1, 2, 3):
+                cells = [(i, d) for i in range(q) for d in range(1, band + 1)]
+                if len(cells) > 9:
+                    continue
+                for chosen in range(1, 1 << len(cells)):
+                    pattern = [cell for k, cell in enumerate(cells) if chosen >> k & 1]
+                    edges = {(u, u + d) for u in range(m - 3) for i, d in pattern if u % q == i}
+                    self.assert_matches_reference(build_graph(m, sorted(edges)).adj)
+
     def test_seeded_periodic_patterns_with_far_edges(self):
         """Edges repeating with period q <= 5, plus far edges from the first vertices.
 
@@ -841,10 +887,17 @@ class TestPlanCopy:
             assert at[0] == 0
             for before, after in zip(at, at[1:] + [g.n]):
                 assert before <= after <= before + max(1024, before), (g.n, at)
-        # where no two periods of steps repeat, every vertex is worked out
+        # where no look finds the run of a path, every vertex is worked out
         at = []
         _frontier_steps(narrow_graph(rng, 3000, 6, 0.5).adj, 6, CountingDeadline(at=at))
         assert at == [0, 1024, 2048]
+        # short runs everywhere: attempts that copy little space the next ones out
+        at = []
+        _frontier_steps(narrow_graph(rng, 3000, 1, 0.5).adj, 6, CountingDeadline(at=at))
+        assert len(at) < 16, at
+        # the looks for a copy fall on every 1024th vertex, where the clock is read
+        period = invariants._REPEAT_MAX_PERIOD
+        assert period & (period - 1) == 0 and period <= 1024
         # pass and DP together, on a long path and a long cycle
         for g in (make_path(3000), make_cycle(3000)):
             for name in COVER_INVARIANTS:
@@ -939,8 +992,8 @@ class TestLimits:
 
     def test_budget_on_a_long_path(self):
         # i and gamma on path:20000 take the frontier plan and DP, which read
-        # the clock too; the plan's later-neighbour masks alone take over a
-        # millisecond there
+        # the clock too; the plan's checks of the copied rows alone take over
+        # a millisecond there
         g = make_path(20000)
         limits = SolverLimits(vertex_cap=20000, budget_secs=1e-4)
         for solver in (independent_domination_number, domination_number):
