@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from random import Random
 from time import perf_counter
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 # SOLVERS is read through its module: bench/tracer.py wraps the solvers in
 # every dict a module binds, so a second binding would wrap them twice
@@ -620,8 +620,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     bound_id = args.bound
     if bound_id not in BOUND_IDS:
         raise SystemExit(f"unknown bound id {bound_id!r}; choose from {', '.join(BOUND_IDS)}")
-    if args.graph is not None or (args.pairs_file is None) == (args.graph_file is None):
-        raise SystemExit("search takes one of --graph-file and --pairs-file, and no --graph")
+    if (args.pairs_file is None) == (args.graph_file is None):
+        raise SystemExit("search takes one of --graph-file and --pairs-file")
     pairs: list[tuple[str, str, Graph, Graph]] = []
     if args.pairs_file is not None:
         with open(args.pairs_file, "r", encoding="utf-8") as handle:
@@ -731,17 +731,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_inputs: bool = True) -> None:
-        if with_inputs:
+    def add_command(name: str, summary: str, run: Callable) -> argparse.ArgumentParser:
+        # no abbreviations: an option a subcommand lacks (--out, --graph) must
+        # not pass for a longer one it has (--out-file, --graph-file)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    def add_inputs(p: argparse.ArgumentParser, graph: bool) -> None:
+        if graph:
             p.add_argument("--graph", help="family spec such as cycle:16 or X:3")
-            p.add_argument("--graph-file", help="path to a graph file")
-            p.add_argument(
-                "--format",
-                choices=("edge-list", "graph6"),
-                default="edge-list",
-                help="format of --graph-file",
-            )
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--graph-file", help="path to a graph file")
+        p.add_argument(
+            "--format",
+            choices=("edge-list", "graph6"),
+            default="edge-list",
+            help="format of --graph-file",
+        )
+
+    def add_solve_options(p: argparse.ArgumentParser, workers: bool) -> None:
+        if workers:
+            p.add_argument("--workers", type=int, default=1, help="parallel workers")
         p.add_argument(
             "--budget-secs", type=float, default=None, help="wall-clock budget"
         )
@@ -759,9 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_writer(name: str, summary: str, product_required: bool, written: str) -> None:
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=_cmd_export)
-        add_common(p)
+        p = add_command(name, summary, _cmd_export)
+        add_inputs(p, graph=True)
         p.add_argument("--product", required=product_required, help="second factor family spec")
         p.add_argument("--out-file", help="basename for graph + sidecar files")
         p.add_argument(
@@ -771,9 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"serialization for {written}",
         )
 
-    p_compute = sub.add_parser("compute", help="compute an invariant with a witness")
-    p_compute.set_defaults(run=_cmd_compute)
-    add_common(p_compute)
+    p_compute = add_command("compute", "compute an invariant with a witness", _cmd_compute)
+    add_inputs(p_compute, graph=True)
+    add_solve_options(p_compute, workers=False)
     p_compute.add_argument("--product", help="second factor family spec")
     p_compute.add_argument(
         "--invariant",
@@ -784,20 +793,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_writer("product", "build a direct product and write it out", True, "the product graph")
 
-    p_verify = sub.add_parser("verify", help="re-check a certificate bundle")
-    p_verify.set_defaults(run=_cmd_verify)
-    add_common(p_verify, with_inputs=False)
+    p_verify = add_command("verify", "re-check a certificate bundle", _cmd_verify)
+    add_solve_options(p_verify, workers=False)
     p_verify.add_argument("certificates", help="path to a JSON/JSONL certificate bundle")
 
-    p_repro = sub.add_parser("reproduce", help="re-derive a published result table")
-    p_repro.set_defaults(run=_reproduce)
-    add_common(p_repro, with_inputs=False)
+    p_repro = add_command("reproduce", "re-derive a published result table", _reproduce)
+    add_solve_options(p_repro, workers=True)
     p_repro.add_argument("target", choices=tuple(_REPRODUCERS))
     p_repro.add_argument("--n", type=int, help="size parameter for thm12")
 
-    p_search = sub.add_parser("search", help="scan graph pairs for bound violations")
-    p_search.set_defaults(run=_cmd_search)
-    add_common(p_search)
+    p_search = add_command("search", "scan graph pairs for bound violations", _cmd_search)
+    add_inputs(p_search, graph=False)
+    add_solve_options(p_search, workers=True)
     p_search.add_argument("--bound", required=True, help="bound id to test")
     p_search.add_argument(
         "--pairs-file", help="manifest with one 'leftspec rightspec' pair per line"
@@ -820,16 +827,20 @@ _parser = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser.parse_args(argv)
+    args, unread = _parser.parse_known_args(argv)
     try:
-        if args.cap is None:
-            args.cap = _default_cap()
-        if args.cap <= 0:
-            raise SystemExit("--cap must be positive")
-        args.workers = args.workers or 1  # --workers 0 means one worker
-        if args.workers < 1:
-            raise SystemExit("--workers must be at least 1")
-        if args.budget_secs is not None and args.budget_secs <= 0:
+        if unread:  # an option the subcommand does not read: usage on stderr, exit 2
+            _parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        if "cap" in args:
+            if args.cap is None:
+                args.cap = _default_cap()
+            if args.cap <= 0:
+                raise SystemExit("--cap must be positive")
+        if "workers" in args:
+            args.workers = args.workers or 1  # --workers 0 means one worker
+            if args.workers < 1:
+                raise SystemExit("--workers must be at least 1")
+        if "budget_secs" in args and args.budget_secs is not None and args.budget_secs <= 0:
             raise SystemExit("--budget-secs must be positive")
         return args.run(args)
     except SystemExit as exc:

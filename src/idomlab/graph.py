@@ -107,7 +107,7 @@ class Graph:
     valid by construction, and pass ``_rows_checked=True`` the same way.
     Graphs derived from checked graphs (``products.direct_product``,
     :func:`square_graph` and :func:`induced_subgraph`) are valid by
-    construction, so they use :meth:`_trusted` and are not checked again.
+    construction too, and pass ``_rows_checked=True`` as well.
     """
 
     n: int
@@ -131,21 +131,6 @@ class Graph:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count differs from vertex count")
-
-    @classmethod
-    def _trusted(
-        cls, n: int, adj: tuple[int, ...], labels: Optional[tuple[str, ...]] = None
-    ) -> "Graph":
-        """A graph from rows the caller built symmetric, loop-free and in range.
-
-        Skips ``__post_init__``, whose symmetry check is linear in the edge
-        count; callers must pass ``n`` labels or none.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adj", adj)
-        object.__setattr__(graph, "labels", labels)
-        return graph
 
     # -- basic queries -----------------------------------------------------
 
@@ -328,7 +313,7 @@ def square_graph(graph: Graph) -> Graph:
         for u in _bits_of(graph.adj[v]):
             row |= graph.adj[u]
         rows.append(row & ~(1 << v))
-    return Graph._trusted(graph.n, tuple(rows))
+    return Graph(graph.n, tuple(rows), _rows_checked=True)
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
@@ -346,4 +331,4 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     labels = None
     if graph.labels is not None:
         labels = tuple(graph.labels[v] for v in ordered)
-    return Graph._trusted(len(ordered), tuple(rows), labels)
+    return Graph(len(ordered), tuple(rows), labels, _rows_checked=True)

@@ -8,11 +8,10 @@ independent sets: its leaves are the sets that cover every vertex, and
 of its square, under a clique-cover bound.  Only ``i``, ``gamma`` and
 ``gamma_t`` on graphs of at least 24 vertices and frontier width at most 6
 (paths, cycles, ``P_m x K_n`` for n <= 4) take a dynamic program over the
-vertex order instead, which works out each distinct transition between its
-layers of states once per solve and copies runs of layers that repeat, over
-a plan of the vertex order that copies the runs of a path, so that where
-layers recur, as on those families, its cost follows the number of distinct
-layers, not the order.
+vertex order instead, which copies the runs of its layers of states that
+repeat, over a plan of the vertex order that copies the runs of a path, both
+in blocks that double while the repeat lasts, so that where layers recur, as
+on those families, its cost follows their period, not the order.
 Every result carries a witness set that re-verifies under the matching
 predicate, and the reported witness is always the lexicographically
 smallest optimum, so results do not depend on traversal or worker
@@ -303,22 +302,22 @@ def _cover_leaves(
 # sizes add up to the optimum, and the ``2 * r + b`` fields are the
 # back-pointers that one backtrack reads the witness from.  Equal bytes get
 # one layer id, and the next layer depends only on a layer's bytes and the
-# plan step, so each ``(plan step, layer id)`` is worked out once per solve
-# and looked up after that.  Layers that differ only in their back-pointers
-# or in the offset of their sizes get two ids but have equal successors, so
-# a repeat is found one vertex later.  Memory: a vertex stores one layer id;
-# one that is worked out also stores one memo entry and, for a new layer, 8
+# plan step.  Layers that differ only in their back-pointers or in the offset
+# of their sizes get two ids but have equal successors, so a repeat is found
+# one vertex later.  Memory: a vertex stores one layer id, and a new layer 8
 # bytes per state.
 #
 # Once the layer before ``v`` is the layer before an earlier ``v'`` and the
 # ``p = v - v'`` steps from ``v`` are those from ``v'``, the next ``p``
 # layers are those after ``v'``: the DP copies them as one block of layer
-# ids, and goes on copying while the steps keep repeating, each block as long
-# as the periodic stretch behind it, halved where the steps stop repeating.
-# On a path or a cycle every vertex between the first few and the last few
-# is copied.  The backtrack does the same in reverse: within a copied
-# stretch, once the rank at a block boundary recurs, the blocks below repeat
-# the member bits and sizes of the blocks between, and are filled in at once.
+# ids, and goes on copying while the steps keep repeating, in the blocks of
+# ``_blocks``, which the plan pass copies its runs in too.  Every vertex not
+# copied is worked out.  On a path or a cycle every vertex between the first
+# few and the last few is copied, and on ``P_m x K_n`` and ``C_m x K_n`` all
+# but the first few periods.  The backtrack does the same in reverse: within
+# a copied stretch, once the rank at a block boundary recurs, the blocks below
+# repeat the member bits and sizes of the blocks between, and are filled in
+# at once.
 
 # Route to the DP from this order and at most this natural-order width.
 # Both routes timed on every cover solve of one pass of the paper's
@@ -344,6 +343,32 @@ _DP_MAX_WIDTH = 6
 _REPEAT_MAX_PERIOD = 64
 
 
+def _blocks(
+    v: int, end: int, p: int, fits: Callable[[int, int], bool]
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(at, block)`` for each block to copy of a repeat of period ``p`` found at ``v``.
+
+    The stretch from ``v - p`` to ``v`` is known to repeat.  Blocks start
+    ``p`` long and follow one another from ``v``, up to ``end``.  While
+    ``fits(at, block)`` holds, each block is as long as the stretch behind
+    it, so the blocks double; once it fails, they halve, in whole periods,
+    until none is left.  The caller reads its clock and copies each block
+    before asking for the next.
+    """
+    origin = v - p
+    block = p
+    grow = True
+    while block:
+        if v + block <= end and fits(v, block):
+            yield v, block
+            v += block
+            if grow:
+                block = v - origin
+        else:
+            grow = False
+            block = block // (2 * p) * p
+
+
 # The plan copies the runs of a path, as the cover DP copies layers.  A
 # vertex ``w`` whose one later neighbour is ``w + 1``, and whose only
 # frontier neighbour is ``w - 1``, which leaves at ``w``, takes the slot of
@@ -357,8 +382,8 @@ _REPEAT_MAX_PERIOD = 64
 # vertex, and one that leaves at a vertex neighbours it, so a run goes on
 # while the entries at its vertices are empty: a far neighbour, like a
 # cycle's closing edge to vertex 0, only keeps its holder's slot, and the run
-# stops just before it.  The pass tests the run block by block, doubling the
-# blocks and halving them once it stops, with a clock read per block, and
+# stops just before it.  The pass tests the run block by block, in the
+# blocks of ``_blocks`` at period 1, with a clock read per block, and
 # copies the tuple of ``v - 1`` itself, so equal steps stay one object,
 # which the DP's repeat test reads.  After a run its last vertex holds the
 # slot and leaves at the next vertex, where it is registered last, after the
@@ -388,9 +413,9 @@ def _frontier_steps(
 
     Vertices are worked out one by one, but where a look every
     ``_REPEAT_MAX_PERIOD`` vertices finds the run of a path, one step repeats
-    along it, and the pass copies that step in doubling blocks, as the cover
-    DP copies layers.  It reads the budget every 1024 vertices and before
-    each copied block.
+    along it, and the pass copies that step in the blocks of ``_blocks``,
+    as the cover DP copies layers.  It reads the budget every 1024 vertices
+    and before each copied block.
     """
     n = len(rows)
     near_at = [0] * n  # slot bits of the frontier neighbours of v
@@ -402,6 +427,13 @@ def _frontier_steps(
     room = n - _REPEAT_MAX_PERIOD
     look = _REPEAT_MAX_PERIOD - 1  # a run may start where v & look is 0,
     retry = gap = _REPEAT_MAX_PERIOD  # from vertex retry on, gap after the last attempt
+
+    def in_run(at: int, block: int) -> bool:
+        # each vertex of the block has one later neighbour, the next, and no old holder
+        end = at + block
+        lasts = list(map(int.bit_length, rows[at:end]))
+        return lasts == list(range(at + 2, end + 2)) and not any(near_at[at:end])
+
     it = enumerate(rows)
     for v, row in it:
         if not v & look:
@@ -418,23 +450,10 @@ def _frontier_steps(
                 start = v
                 steps.append(step)
                 v += 1
-                block = 1
-                grow = True
-                while block:
-                    end = v + block
-                    if (
-                        end <= n
-                        and list(map(int.bit_length, rows[v:end])) == list(range(v + 2, end + 2))
-                        and not any(near_at[v:end])
-                    ):
-                        deadline.tick()
-                        steps += [step] * block
-                        v = end
-                        if grow:  # double while the run goes on
-                            block = v - start
-                    else:  # halve once it stops
-                        grow = False
-                        block //= 2
+                for at, block in _blocks(v, n, 1, in_run):
+                    deadline.tick()
+                    steps += [step] * block
+                    v = at + block
                 copied = v - start
                 if copied < start - retry + gap:  # fewer than were worked out since the last attempt
                     gap *= 2
@@ -495,95 +514,79 @@ def _frontier_min_cover(
     start = bytes(8)  # the empty state, packed
     layers = {start: 0}  # a layer's bytes -> its id
     held = [start]  # each layer id's bytes
-    memo: dict[tuple, int] = {}  # (plan step, layer id) -> next layer id
     trail: list[int] = []  # the layer id after each vertex
     before: dict[int, int] = {}  # layer id -> the last vertex found with it as the layer before
     stretches = []  # (lo, hi, p): trail[x] == trail[x - p] for lo <= x < hi
     m = len(steps)
     v = layer = 0
-    fresh = True  # nothing is known yet of the current layer's successors
     first = 0  # the current layer's first entry
     entries = {0: 0}.items()  # its (state, entry) pairs, when at hand
+
+    def repeats(at: int, block: int) -> bool:
+        return steps[at : at + block] == steps[at - block : at]
+
     while v < m:
         deadline.tick()
         step = steps[v]
         seen = before.get(layer)
         before[layer] = v
         if seen is not None and steps[seen] is step and v - seen <= _REPEAT_MAX_PERIOD:
-            lo = v
-            # the layer before v is the one before v - k * p for every k * p <= span
-            p = span = block = v - seen
-            grow = True
-            while block:
-                if v + block <= m and steps[v : v + block] == steps[v - block : v]:
-                    deadline.tick()
-                    trail += trail[v - block : v]
-                    v += block
-                    span += block
-                    if grow:  # double while the steps keep repeating
-                        block = span
-                else:  # halve, in whole periods, once they stop
-                    grow = False
-                    block = block // (2 * p) * p
+            lo, p = v, v - seen  # the stretch from seen to v repeats, and so does each block copied
+            for at, block in _blocks(v, m, p, repeats):
+                deadline.tick()
+                trail += trail[at - block : at]
+                v = at + block
             if v > lo:
                 stretches.append((lo, v, p))
                 if v == m:
                     break
                 layer = trail[-1]
                 before[layer] = v
-                fresh = False
                 entries = None
                 step = steps[v]
-        key = (step, layer)
-        nxt_layer = None if fresh else memo.get(key)
-        if nxt_layer is not None:
-            entries = None
-        else:
-            nearby, done, own = step
-            clash = nearby if independent else 0
-            need = done << width
-            keep = ~(done | need)
-            pick = nearby << width
-            stays = own >= 0  # else v leaves at once and must be covered now
-            free = covers_self or stays
-            own_covered = (1 << own if stays else 0) << width
-            own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
-            if entries is None:
-                view = memoryview(held[layer]).cast("q")
-                entries = zip([entry & key_mask for entry in view], view)
-                first = view[0]
-            after: dict[int, int] = {}  # state -> its winner, in rank order
-            rank = -(first & sizes)  # sizes count from the first entry's
-            for state, entry in entries:
-                base = (entry & sizes) + rank
-                rank += next_rank
-                met = state & nearby
-                if state & clash == 0 and (met or free):
-                    nxt = state | pick
-                    if nxt & need == need:
-                        nxt = nxt & keep | own_in | (own_covered if met else 0)
-                        new = base + unit | nxt
-                        old = after.setdefault(nxt, new)
-                        if new < old:
-                            del after[nxt]
-                            after[nxt] = new
-                if state & need == need and (met or stays):
-                    nxt = state & keep | (own_covered if met else 0)
-                    new = base + out | nxt
+        nearby, done, own = step
+        clash = nearby if independent else 0
+        need = done << width
+        keep = ~(done | need)
+        pick = nearby << width
+        stays = own >= 0  # else v leaves at once and must be covered now
+        free = covers_self or stays
+        own_covered = (1 << own if stays else 0) << width
+        own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
+        if entries is None:
+            view = memoryview(held[layer]).cast("q")
+            entries = zip([entry & key_mask for entry in view], view)
+            first = view[0]
+        after: dict[int, int] = {}  # state -> its winner, in rank order
+        rank = -(first & sizes)  # sizes count from the first entry's
+        for state, entry in entries:
+            base = (entry & sizes) + rank
+            rank += next_rank
+            met = state & nearby
+            if state & clash == 0 and (met or free):
+                nxt = state | pick
+                if nxt & need == need:
+                    nxt = nxt & keep | own_in | (own_covered if met else 0)
+                    new = base + unit | nxt
                     old = after.setdefault(nxt, new)
                     if new < old:
                         del after[nxt]
                         after[nxt] = new
-            won = list(after.values())
-            entries = after.items()
-            first = won[0]
-            packed = array("q", won).tobytes()
-            nxt_layer = memo[key] = layers.setdefault(packed, len(held))
-            fresh = nxt_layer == len(held)
-            if fresh:
-                held.append(packed)
-        trail.append(nxt_layer)
-        layer = nxt_layer
+            if state & need == need and (met or stays):
+                nxt = state & keep | (own_covered if met else 0)
+                new = base + out | nxt
+                old = after.setdefault(nxt, new)
+                if new < old:
+                    del after[nxt]
+                    after[nxt] = new
+        won = list(after.values())
+        entries = after.items()
+        first = won[0]
+        packed = array("q", won).tobytes()
+        layer = layers.setdefault(packed, len(held))
+        if layer == len(held):
+            held.append(packed)
+        trail.append(layer)
         v += 1
 
     views = [memoryview(packed).cast("q") for packed in held]

@@ -102,7 +102,7 @@ def direct_product(left: Graph, right: Graph, max_vertices: int = MAX_PRODUCT_VE
             for h in range(nh)
         )
     # Symmetric and loop-free because both factors are: no re-check.
-    return ProductGraph(Graph._trusted(total, tuple(rows), labels), left, right)
+    return ProductGraph(Graph(total, tuple(rows), labels, _rows_checked=True), left, right)
 
 
 def layer(product: ProductGraph, side: str, index: int) -> VertexSet:

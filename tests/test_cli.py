@@ -725,7 +725,7 @@ class TestInputEdgePaths:
         [
             ("compute --graph path:4 --cap 0", None, 2, "--cap must be positive"),
             ("compute --graph path:4", "0", 2, "IDOMLAB_CAP must be positive"),
-            ("compute --graph path:4 --workers -1", None, 2, "--workers must be at least 1"),
+            ("reproduce bounds4 --workers -1", None, 2, "--workers must be at least 1"),
             ("compute --graph path:4 --budget-secs 0", None, 2, "--budget-secs must be positive"),
             ("reproduce thm12 --n 0", None, 2, "--n must be positive"),
             ("reproduce table1 --budget-secs 1e-9", None, 3, "aborted: solver budget exhausted"),
@@ -739,6 +739,33 @@ class TestInputEdgePaths:
         if env_cap is not None:
             monkeypatch.setenv("IDOMLAB_CAP", env_cap)
         assert run_cli(capsys, *argv.split()) == (code, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "compute --graph path:3 --workers 2",
+            "verify data/thm12_n11_witnesses.jsonl --workers 2",
+            "export --graph path:3 --workers 2",
+            "export --graph path:3 --out csv",
+            "export --graph path:3 --cap 7",
+            "product --graph path:3 --product complete:2 --budget-secs 1",
+            "search --graph path:3 --bound factor-min-lower",
+            "compute --graph path:3 --inv i",
+        ],
+        ids=["compute", "verify", "export-workers", "export-out", "export-cap", "product",
+             "search", "abbreviated"],
+    )
+    def test_option_a_subcommand_does_not_read_is_refused(self, capsys, monkeypatch, argv):
+        # an invalid IDOMLAB_CAP is read only by subcommands that take --cap
+        monkeypatch.setenv("IDOMLAB_CAP", "0")
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ") and "unrecognized arguments: --" in err
+
+    def test_export_does_not_read_the_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("IDOMLAB_CAP", "0")
+        code, out, _ = run_cli(capsys, "export", "--graph", "path:3", "--write-format", "graph6")
+        assert code == 0 and out.strip() == "Bg"
 
     def test_multi_graph_file_rejected_for_compute(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"

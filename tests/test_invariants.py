@@ -643,7 +643,7 @@ class TestRepeatedBlocks:
 
     def test_every_labelled_graph_up_to_order_six(self):
         for rows in labelled_rows(6):
-            self.assert_matches_reference(Graph._trusted(len(rows), rows))
+            self.assert_matches_reference(Graph(len(rows), rows, _rows_checked=True))
 
     def test_paths_and_cycles(self):
         for m in (*range(1, 101), 299, 300, 301, 899, 900, 2999, 3000):
@@ -692,6 +692,22 @@ class TestRepeatedBlocks:
                 deadline = CountingDeadline()
                 _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
                 assert deadline.ticks < 50, (g.n, name)
+
+    def test_long_products_are_copied(self):
+        """``P_1000 x K_n`` for n = 2, 3, 4 and ``C_999 x K_2``: the DP copies their blocks.
+
+        Each solve of their 2000 to 4000 vertices reads the clock fewer than
+        200 times, so all but a few periods are copied, and matches the old DP.
+        """
+        graphs = [direct_product(make_path(1000), make_complete(n)).graph for n in (2, 3, 4)]
+        graphs.append(direct_product(make_cycle(999), make_complete(2)).graph)
+        for g in graphs:
+            self.assert_matches_reference(g)
+            width, steps = frontier_steps(g.adj)
+            for name in COVER_INVARIANTS:
+                deadline = CountingDeadline()
+                _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
+                assert deadline.ticks < 200, (g.n, name, deadline.ticks)
 
 
 def band_rows(n, band):
