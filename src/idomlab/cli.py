@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -735,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: an option a subcommand lacks (--out, --graph) must
         # not pass for a longer one it has (--out-file, --graph-file)
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, command=p)  # ``command`` prints its usage on a refusal
         return p
 
     def add_inputs(p: argparse.ArgumentParser, graph: bool) -> None:
@@ -751,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solve_options(p: argparse.ArgumentParser, workers: bool) -> None:
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel workers")
+            p.add_argument("--workers", type=int, help="parallel workers (default 1)")
         p.add_argument(
             "--budget-secs", type=float, default=None, help="wall-clock budget"
         )
@@ -829,8 +830,12 @@ _parser = build_parser()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args, unread = _parser.parse_known_args(argv)
     try:
-        if unread:  # an option the subcommand does not read: usage on stderr, exit 2
-            _parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        if unread:  # an option the subcommand does not read: its usage on stderr, exit 2
+            args.command.error(f"unrecognized arguments: {' '.join(unread)}")
+        # of the reproduce targets, only thm12 reads --n and only bounds4 --workers
+        for name, target in (("n", "thm12"), ("workers", "bounds4")):
+            if "target" in args and args.target != target and getattr(args, name) is not None:
+                args.command.error(f"{args.target} does not read --{name}")
         if "cap" in args:
             if args.cap is None:
                 args.cap = _default_cap()
@@ -840,8 +845,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.workers = args.workers or 1  # --workers 0 means one worker
             if args.workers < 1:
                 raise SystemExit("--workers must be at least 1")
-        if "budget_secs" in args and args.budget_secs is not None and args.budget_secs <= 0:
-            raise SystemExit("--budget-secs must be positive")
+        if getattr(args, "budget_secs", None) is not None and not 0 < args.budget_secs < math.inf:
+            raise SystemExit(f"--budget-secs must be {'finite' if args.budget_secs > 0 else 'positive'}")
         return args.run(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -275,10 +275,15 @@ def parse_family(text: str) -> FamilySpec:
     kind = head.strip()
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}; choose from {sorted(_FAMILIES)}")
+    fields = tail.split(",")
     try:
-        params = tuple(int(p) for p in tail.split(","))
+        params = tuple(map(int, fields))
     except ValueError:
-        raise ValueError(f"family spec {text!r} has non-integer parameters") from None
+        params = ()
+    # int() alone would also read "+4", " 4", "04" and non-ASCII digits; a minus
+    # sign is read, so that a parameter below a family's floor gets its message
+    if list(map(str, params)) != fields:
+        raise ValueError(f"family spec {text!r} has non-integer parameters")
     arity = _FAMILIES[kind][0]
     if len(params) != arity:
         raise ValueError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")

@@ -8,10 +8,12 @@ independent sets: its leaves are the sets that cover every vertex, and
 of its square, under a clique-cover bound.  Only ``i``, ``gamma`` and
 ``gamma_t`` on graphs of at least 24 vertices and frontier width at most 6
 (paths, cycles, ``P_m x K_n`` for n <= 4) take a dynamic program over the
-vertex order instead, which copies the runs of its layers of states that
-repeat, over a plan of the vertex order that copies the runs of a path, both
-in blocks that double while the repeat lasts, so that where layers recur, as
-on those families, its cost follows their period, not the order.
+vertex order instead.  It runs on one layer engine with the labelling route's
+DP (``labelling._frontier_min_weight``): the engine copies the runs of layers
+of states that repeat, over a plan of the vertex order that copies the runs
+of a path, both in blocks that double while the repeat lasts, so that where
+layers recur, as on those families, a DP's cost follows their period, not
+the order.
 Every result carries a witness set that re-verifies under the matching
 predicate, and the reported witness is always the lexicographically
 smallest optimum, so results do not depend on traversal or worker
@@ -20,12 +22,11 @@ scheduling.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import Graph, VertexSet, square_graph, _bits_of
 
@@ -260,15 +261,16 @@ def _cover_leaves(
 
 
 # ---------------------------------------------------------------------------
-# The frontier plan, and the frontier DP: the same covers, one vertex at a time
+# The frontier plan, and the frontier DPs: one vertex at a time
 # ---------------------------------------------------------------------------
 #
-# Both frontier DPs, this module's and labelling._frontier_min_weight, read
-# one frontier plan.  Vertices are decided in index order.  The frontier is
-# the set of decided vertices that still have an undecided neighbour; a vertex
-# leaves it once its last neighbour is decided.  Each frontier vertex holds a
-# slot below the frontier width, and a DP state keeps a fixed-width field per
-# slot, so the work per vertex follows the width, not the order.  A vertex
+# Both frontier DPs, this module's cover DP and labelling._frontier_min_weight,
+# read one frontier plan and run on one layer engine.  Vertices are decided in
+# index order.  The frontier is the set of decided vertices that still have an
+# undecided neighbour; a vertex leaves it once its last neighbour is decided.
+# Each frontier vertex holds a slot below the frontier width, and a DP state
+# keeps a fixed-width field per slot, so the work per vertex follows the
+# width, not the order.  A vertex
 # takes the slot of a neighbour that leaves as it is decided, if there is one,
 # or else the lowest free slot, so long runs of vertices see the same slots; a
 # vertex with no later neighbour takes none.  ``_frontier_steps`` builds the
@@ -276,48 +278,54 @@ def _cover_leaves(
 # neither DP assigns a slot itself.  On a path or a cycle nearly every step is
 # the same, and equal steps are one tuple.
 #
-# In the cover DP a state is the (chosen, covered) pair of the frontier, kept
-# as bits over frontier slots, and a vertex must be covered by the time it
-# leaves.  Each state keeps the best prefix reaching it.  Prefixes reaching
-# the same state have the same completions, so keeping one per state is
-# exact.
+# The layer engine, ``_frontier_layers``, walks the plan for a DP whose state
+# is fixed-width fields over the frontier slots.  A layer is the states after
+# one vertex, and each keeps the best prefix reaching it: prefixes reaching
+# one state have the same completions, so keeping one per state is exact.  A
+# prefix makes one choice per vertex, a digit, and of two prefixes the better
+# costs less or, at equal cost, has the lesser digits read from vertex 0.  A
+# state's best prefix then extends to the best completion through it, and the
+# least entry of the last layer is the least optimum.  In the cover DP the
+# digit is 0 for "in" and 1 for "out", and among sets of one size the lesser
+# digits are those of the set whose sorted members come first, the optimum
+# the branch-and-bound reaches first.  In the labelling DP the digit is the
+# tag, in the order 0 < classes < [n] that labelling._search_min_weight tries
+# them in, so the two routes return the same labelling.
 #
-# Of two prefixes the better has fewer members or, at equal size, the lesser
-# sequence of in/out bits (0 = in) read from vertex 0.  Among sets of one
-# size that is the order of their sorted members, so a state's best prefix
-# extends to the best cover through it, and the best final prefix is the
-# least optimum the branch-and-bound reaches first.  A layer, the states
-# after one vertex, keeps for each state its best prefix's size and its rank
-# among the layer's best prefixes in bit order.  A candidate from the source
-# of rank ``r`` taking bit ``b`` then compares by ``(size, r, b)``, as the
-# whole prefixes compare.  Sources are visited in rank order, "in" before
-# "out", so candidates arrive in ``(r, b)`` order and a state's winner only
-# changes to a strictly smaller size; a state whose winner changes moves to
-# the end of the layer, so the layer's order is its winners' ``(r, b)``
-# order, which is the next rank order.
+# A layer keeps for each state its best prefix's cost and its rank among the
+# layer's best prefixes in digit order.  The prefixes of one layer are equally
+# long, so a candidate from the source of rank ``r`` taking digit ``d``
+# compares by ``(cost, r, d)``, as the whole prefixes compare.  A DP's step
+# visits the sources in rank order and each source's digits in increasing
+# order, so candidates arrive in ``(r, d)`` order and a state's winner only
+# changes to a strictly smaller cost; a state whose winner changes moves to the
+# end of the layer, so the layer's order is its winners' ``(r, d)`` order,
+# which is the next rank order.
 #
-# A candidate is one int, ``size << field | (2 * r + b) << keyed | state``,
-# and a layer is held as its winners' ints in rank order, packed into bytes.
-# The sizes count from the source layer's first entry, so the first entries'
-# sizes add up to the optimum, and the ``2 * r + b`` fields are the
-# back-pointers that one backtrack reads the witness from.  Equal bytes get
-# one layer id, and the next layer depends only on a layer's bytes and the
-# plan step.  Layers that differ only in their back-pointers or in the offset
-# of their sizes get two ids but have equal successors, so a repeat is found
-# one vertex later.  Memory: a vertex stores one layer id, and a new layer 8
-# bytes per state.
+# A candidate is one int, ``cost << field | r << digit_bits | d``, where each
+# DP bounds its layers' sizes so that the back-pointer ``r << digit_bits | d``
+# fits below ``field``, and a layer is held as the tuples of its states and of
+# their winners' ints, in rank order.  Costs count from the source layer's
+# first entry, so the first entries' costs add up to the cost of the last
+# layer's first entry, and one backtrack reads the digits from the
+# back-pointers, from the last layer's least entry down.  Equal tuples get one
+# layer id, and the next layer depends only on a layer's tuples and the plan
+# step.  Layers that differ only in their back-pointers or in the offset of
+# their costs get two ids but have equal successors, so a repeat is found one
+# vertex later.  Memory: a vertex stores one layer id, and a new layer two
+# ints per state.
 #
 # Once the layer before ``v`` is the layer before an earlier ``v'`` and the
 # ``p = v - v'`` steps from ``v`` are those from ``v'``, the next ``p``
-# layers are those after ``v'``: the DP copies them as one block of layer
+# layers are those after ``v'``: the engine copies them as one block of layer
 # ids, and goes on copying while the steps keep repeating, in the blocks of
 # ``_blocks``, which the plan pass copies its runs in too.  Every vertex not
-# copied is worked out.  On a path or a cycle every vertex between the first
-# few and the last few is copied, and on ``P_m x K_n`` and ``C_m x K_n`` all
-# but the first few periods.  The backtrack does the same in reverse: within
-# a copied stretch, once the rank at a block boundary recurs, the blocks below
-# repeat the member bits and sizes of the blocks between, and are filled in
-# at once.
+# copied is worked out, by one call to the DP's step.  On a path or a cycle
+# every vertex between the first few and the last few is copied, and on
+# ``P_m x K_n`` and ``C_m x K_n`` all but the first few periods.  The
+# backtrack does the same in reverse: within a copied stretch, once the rank
+# at a block boundary recurs, the blocks below repeat the digits and costs of
+# the blocks between, and are filled in at once.
 
 # Route to the DP from this order and at most this natural-order width.
 # Both routes timed on every cover solve of one pass of the paper's
@@ -325,14 +333,11 @@ def _cover_leaves(
 # vertices the DP took width 4 from 37 to 13 ms (27 solves) and width 6 from
 # 35 to 5.4 ms (12), but width 7 from 21 to 29 ms (17); from 12 to 23
 # vertices it was slower at widths 4 to 7 (width 6: 7.0 -> 10.8 ms, 74
-# solves).  The width may not pass 14: ``_frontier_min_cover`` packs a
-# candidate into a signed 64-bit entry with 4 * width + 1 bits below its
-# size, which leaves sizes in -64..63 at width 14 but only -4..3 at width 15,
-# where gamma overflows on a 60-vertex graph of bandwidth 15.
+# solves).
 _DP_MIN_ORDER = 24
 _DP_MAX_WIDTH = 6
 
-# The longest period the cover DP looks for repeated blocks at, so that a
+# The longest period the layer engine looks for repeated blocks at, so that a
 # repeat that does not pay off costs at most this many step comparisons.
 # Measured periods of i and gamma: 3 vertices on paths and cycles, 12 rows of
 # the product on P_m x K_n and C_m x K_n, so 48 vertices at n = 4.  The plan
@@ -369,7 +374,7 @@ def _blocks(
             block = block // (2 * p) * p
 
 
-# The plan copies the runs of a path, as the cover DP copies layers.  A
+# The plan copies the runs of a path, as the layer engine copies layers.  A
 # vertex ``w`` whose one later neighbour is ``w + 1``, and whose only
 # frontier neighbour is ``w - 1``, which leaves at ``w``, takes the slot of
 # ``w - 1`` and hands it on to ``w + 1``: its step is that slot's bit as
@@ -414,7 +419,7 @@ def _frontier_steps(
     Vertices are worked out one by one, but where a look every
     ``_REPEAT_MAX_PERIOD`` vertices finds the run of a path, one step repeats
     along it, and the pass copies that step in the blocks of ``_blocks``,
-    as the cover DP copies layers.  It reads the budget every 1024 vertices
+    as the layer engine copies layers.  It reads the budget every 1024 vertices
     and before each copied block.
     """
     n = len(rows)
@@ -489,38 +494,40 @@ def _frontier_steps(
     return width, steps
 
 
-def _frontier_min_cover(
+def _frontier_layers(
     deadline: _Deadline,
     steps: list[tuple[int, int, int]],
-    width: int,
-    independent: bool,
-    covers_self: bool,
+    rank_bits: int,
+    digit_bits: int,
+    step_layer: Callable[[tuple[int, int, int], Iterable[tuple[int, int]], int], dict[int, int]],
 ) -> tuple[int, int]:
-    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+    """Return ``(cost, digits)`` of the least entry of a frontier DP's last layer.
 
-    ``(width, steps)`` is the ``_frontier_steps`` of a graph's adjacency
-    rows, and the graph must admit a cover.  A chosen vertex covers its
-    neighbours, rejects them when ``independent`` (``i``), and covers itself
-    when ``covers_self`` (``i`` and ``gamma``).
+    A layer holds at most ``2 ** rank_bits`` states, and a choice is a
+    digit below ``2 ** digit_bits``; an entry is ``cost << field | rank <<
+    digit_bits | digit``, with ``field = rank_bits + digit_bits``.  The DP
+    starts from the one state 0 at cost 0.  ``step_layer(step, sources,
+    rank)`` works out the layer after one vertex.  ``sources`` yields
+    ``(state, entry)`` for each state of the layer before it, in rank order,
+    and the base of the ``k``-th is ``(entry & -1 << field) + rank + (k <<
+    digit_bits)``: its cost, counted from the first source's, and its rank.
+    For each successor of each source, in increasing digit order, the step
+    puts the base plus ``added cost << field | digit`` into the dict it
+    returns, keyed by the successor, unless a lesser entry is there; a state
+    whose entry falls moves to the end.  ``digits`` holds the least
+    optimum's digit for vertex ``v`` at bit ``v * digit_bits``.
     """
-    keyed = 2 * width  # a state: chosen | covered << width
-    key_mask = (1 << keyed) - 1
-    out = 1 << keyed  # b = 1, v left out
-    next_rank = out << 1
-    field = 4 * width + 1  # above a state and 2 * r + b, r below 4 ** width
-    unit = 1 << field
-    sizes = -unit
-    back = (1 << (2 * width + 1)) - 1
-    start = bytes(8)  # the empty state, packed
-    layers = {start: 0}  # a layer's bytes -> its id
-    held = [start]  # each layer id's bytes
+    field = rank_bits + digit_bits  # above a back-pointer
+    sizes = -1 << field
+    next_rank = 1 << digit_bits
+    held = [((0,), (0,))]  # each layer id's states and entries, from the empty state's
+    layers = {held[0]: 0}  # a layer's states and entries -> its id
     trail: list[int] = []  # the layer id after each vertex
     before: dict[int, int] = {}  # layer id -> the last vertex found with it as the layer before
     stretches = []  # (lo, hi, p): trail[x] == trail[x - p] for lo <= x < hi
     m = len(steps)
     v = layer = 0
-    first = 0  # the current layer's first entry
-    entries = {0: 0}.items()  # its (state, entry) pairs, when at hand
+    after = {0: 0}  # the current layer: each state's entry, in rank order
 
     def repeats(at: int, block: int) -> bool:
         return steps[at : at + block] == steps[at - block : at]
@@ -538,70 +545,35 @@ def _frontier_min_cover(
                 v = at + block
             if v > lo:
                 stretches.append((lo, v, p))
+                layer = trail[-1]
                 if v == m:
                     break
-                layer = trail[-1]
                 before[layer] = v
-                entries = None
                 step = steps[v]
-        nearby, done, own = step
-        clash = nearby if independent else 0
-        need = done << width
-        keep = ~(done | need)
-        pick = nearby << width
-        stays = own >= 0  # else v leaves at once and must be covered now
-        free = covers_self or stays
-        own_covered = (1 << own if stays else 0) << width
-        own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
-        if entries is None:
-            view = memoryview(held[layer]).cast("q")
-            entries = zip([entry & key_mask for entry in view], view)
-            first = view[0]
-        after: dict[int, int] = {}  # state -> its winner, in rank order
-        rank = -(first & sizes)  # sizes count from the first entry's
-        for state, entry in entries:
-            base = (entry & sizes) + rank
-            rank += next_rank
-            met = state & nearby
-            if state & clash == 0 and (met or free):
-                nxt = state | pick
-                if nxt & need == need:
-                    nxt = nxt & keep | own_in | (own_covered if met else 0)
-                    new = base + unit | nxt
-                    old = after.setdefault(nxt, new)
-                    if new < old:
-                        del after[nxt]
-                        after[nxt] = new
-            if state & need == need and (met or stays):
-                nxt = state & keep | (own_covered if met else 0)
-                new = base + out | nxt
-                old = after.setdefault(nxt, new)
-                if new < old:
-                    del after[nxt]
-                    after[nxt] = new
-        won = list(after.values())
-        entries = after.items()
-        first = won[0]
-        packed = array("q", won).tobytes()
+                after = dict(zip(*held[layer]))
+        after = step_layer(step, after.items(), -(held[layer][1][0] & sizes))
+        packed = tuple(after), tuple(after.values())
         layer = layers.setdefault(packed, len(held))
         if layer == len(held):
             held.append(packed)
         trail.append(layer)
         v += 1
 
-    views = [memoryview(packed).cast("q") for packed in held]
-    size = members = rank = 0
+    won = held[layer][1]
+    least = min(won)
+    rank = won.index(least)
+    size = (least & sizes) - (won[0] & sizes)  # the walk adds the first entries' costs
+    digits = 0
 
     def walk(top: int, stop: int) -> None:
         """Backtrack the vertices from ``top - 1`` down to ``stop``."""
-        nonlocal size, members, rank
+        nonlocal size, digits, rank
         for x in range(top - 1, stop - 1, -1):
-            entries = views[trail[x]]
-            size += entries[0] >> field
-            rank = entries[rank] >> keyed & back
-            if not rank & 1:
-                members |= 1 << x
-            rank >>= 1
+            won = held[trail[x]][1]
+            size += won[0] & sizes
+            back = won[rank]
+            digits |= (back & next_rank - 1) << x * digit_bits
+            rank = (back & ~sizes) >> digit_bits
 
     v = m
     for lo, hi, p in reversed(stretches):
@@ -613,8 +585,9 @@ def _frontier_min_cover(
                 top, top_size = marks[rank]
                 q = top - v
                 k = (v - lo + p) // q
-                pattern = members >> v & ((1 << q) - 1)
-                members |= pattern * (((1 << k * q) - 1) // ((1 << q) - 1)) << (v - k * q)
+                block = q * digit_bits
+                pattern = digits >> v * digit_bits & ((1 << block) - 1)
+                digits |= pattern * (((1 << k * block) - 1) // ((1 << block) - 1)) << (v - k * q) * digit_bits
                 size += k * (size - top_size)
                 v -= k * q
                 break
@@ -622,7 +595,64 @@ def _frontier_min_cover(
             walk(v, v - p)
             v -= p
     walk(v, 0)
-    return size, members
+    return size >> field, digits
+
+
+def _frontier_min_cover(
+    deadline: _Deadline,
+    steps: list[tuple[int, int, int]],
+    width: int,
+    independent: bool,
+    covers_self: bool,
+) -> tuple[int, int]:
+    """Return ``(size, bits)`` of the lexicographically least minimum cover.
+
+    ``(width, steps)`` is the ``_frontier_steps`` of a graph's adjacency
+    rows, and the graph must admit a cover.  A chosen vertex covers its
+    neighbours, rejects them when ``independent`` (``i``), and covers itself
+    when ``covers_self`` (``i`` and ``gamma``).  A state is the (chosen,
+    covered) pair of the frontier, as bits over its slots, and a vertex must
+    be covered by the time it leaves; the digit is 0 for "in", 1 for "out".
+    """
+    unit = 1 << (2 * width + 1)  # one member, at the engine's cost field; digit 0, v picked
+    sizes = -unit
+
+    def step_layer(step: tuple[int, int, int], sources: Iterable[tuple[int, int]], rank: int) -> dict[int, int]:
+        nearby, done, own = step
+        clash = nearby if independent else 0
+        need = done << width
+        keep = ~(done | need)
+        pick = nearby << width
+        stays = own >= 0  # else v leaves at once and must be covered now
+        free = covers_self or stays
+        own_covered = (1 << own if stays else 0) << width
+        own_in = own_covered >> width | (own_covered if covers_self else 0)  # v picked
+        after: dict[int, int] = {}  # state -> its winner, in rank order
+        for state, entry in sources:
+            base = (entry & sizes) + rank
+            rank += 2  # the next source's rank, above the one digit bit
+            met = state & nearby
+            if state & clash == 0 and (met or free):
+                nxt = state | pick
+                if nxt & need == need:
+                    nxt = nxt & keep | own_in | (own_covered if met else 0)
+                    new = base + unit
+                    old = after.setdefault(nxt, new)
+                    if new < old:
+                        del after[nxt]
+                        after[nxt] = new
+            if state & need == need and (met or stays):
+                nxt = state & keep | (own_covered if met else 0)
+                new = base + 1  # digit 1, v left out
+                old = after.setdefault(nxt, new)
+                if new < old:
+                    del after[nxt]
+                    after[nxt] = new
+        return after
+
+    # a state is chosen | covered << width, so a layer holds at most 4 ** width
+    size, outs = _frontier_layers(deadline, steps, 2 * width, 1, step_layer)
+    return size, outs ^ (1 << len(steps)) - 1
 
 
 def _solve_min_cover(

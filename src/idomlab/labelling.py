@@ -21,13 +21,14 @@ the constructed set, and its minimum over legal labellings equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph, VertexSet, _bits_of
 from .invariants import (
     DEFAULT_LIMITS,
     SolverLimits,
     _Deadline,
+    _frontier_layers,
     _frontier_steps,
     _require_cap,
 )
@@ -294,19 +295,21 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
 # vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
 # 1997) on a linear order.  It reads the frontier plan that the cover kernel's
-# DP reads (``invariants._frontier_steps``): the frontier is the tagged
-# vertices that still have an untagged neighbour, each in a slot the plan
-# assigns, and each step holds the slot bits of the vertex's tagged neighbours
-# and of those that leave, and the vertex's own slot.  A state is ``used``, the
-# number of classes opened, plus each frontier vertex's tag and pending need:
-# a class vertex waits for a same-class neighbour (condition 2); a 0 vertex
-# has seen no class yet, or one class ``c`` (condition 4); an [n] vertex needs
-# nothing.  A vertex must need nothing when it leaves the frontier.  Each state
-# keeps the least score of the prefixes reaching it: the weight, then the
-# prefix's tags as digits.  Prefixes reaching one state have the same
-# completions, so the least final score is the branch-and-bound's optimum,
-# with no backward pass.  The number of states follows ``n`` and the frontier
-# width, not the order; only the score's digits grow with the order.
+# DP reads (``invariants._frontier_steps``), and runs on the same layer engine
+# (``invariants._frontier_layers``): the frontier is the tagged vertices that
+# still have an untagged neighbour, each in a slot the plan assigns, and each
+# step holds the slot bits of the vertex's tagged neighbours and of those that
+# leave, and the vertex's own slot.  A state is ``used``, the number of
+# classes opened, plus each frontier vertex's tag and pending need: a class
+# vertex waits for a same-class neighbour (condition 2); a 0 vertex has seen
+# no class yet, or one class ``c`` (condition 4); an [n] vertex needs nothing.
+# A vertex must need nothing when it leaves the frontier.  The engine keeps
+# for each state the prefix of least weight and, among those, of least tags,
+# with the tag as the choice digit, and backtracks the least optimum's tags
+# from the last layer, which holds one state per ``used``.  The number of
+# states follows ``n`` and the frontier width, not the order, and so does the
+# cost of comparing two prefixes.  Where the layers recur, as on paths and
+# cycles at n = 2, the engine copies them.
 #
 # A state is packed into one int of fixed-width fields of ``b`` bits, ``b``
 # the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field, then
@@ -314,9 +317,10 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # its need plus one at bit ``b * (2 + 2s)``, so a met need and a free slot
 # read 0.  A vertex's moves depend only on ``used`` and the fields of its
 # tagged neighbours' slots, so each distinct such key is worked out once
-# (``_tag_moves``) into the tags the vertex may take, each with the new fields
-# to OR into the rest of the state; vertices that see the same slots share one
-# table, which on a path or a cycle is nearly all of them.
+# (``tag_moves``) into the tags the vertex may take, each with the new fields
+# to OR into the rest of the state and the tag's weight and digit as the
+# engine adds them; vertices that see the same slots share one table, which on
+# a path or a cycle is nearly all of them.
 #
 # ``minimize_weight`` builds a graph's frontier plan with
 # ``invariants._frontier_steps``, which stops once the natural-order width
@@ -330,123 +334,117 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 _DP_MAX_WIDTH = 2
 
 
-def _tag_moves(
-    key: int,
-    n: int,
-    allow_layer_label: bool,
-    bits: int,
-    near: int,
-    leaving: int,
-    own: int,
-) -> tuple[tuple[int, int], ...]:
-    """The tags a vertex may take from one packed state, each with the fields it leaves.
-
-    ``key`` holds a state's ``used`` and the fields of the slots whose bits
-    are in ``near``, those of the vertex's tagged neighbours.  The neighbours
-    in the slots of ``leaving`` leave the frontier, and the vertex takes slot
-    ``own``, or leaves at once if ``own`` is -1.  Each move is
-    ``(tag, fields)``: ``fields`` holds the new ``used`` and the new fields
-    of ``near`` and ``own``, with the leaving ones cleared.  A tag that
-    leaves a vertex with an unmet need has no move.
-    """
-    special = special_tag(n)
-    field = (1 << bits) - 1
-    used = key & field
-    # ``seen``: the one nonzero tag among tagged neighbours, 0 if there is
-    # none, -1 if there are several
-    seen = 0
-    neighbours = []  # (shift, tag, need, leaves) for each slot in ``near``
-    scan = near
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        shift = bits * (2 * low.bit_length() - 1)
-        t = (key >> shift) & field
-        neighbours.append((shift, t, (key >> (shift + bits)) & field, leaving & low))
-        if t and t != seen:
-            seen = -1 if seen else t
-    if seen == 0:
-        choices = list(range(min(used + 1, n) + 1)) + ([special] if allow_layer_label else [])
-    elif 0 < seen <= n:
-        choices = [0, seen]
-    else:
-        choices = [0]
-    own_shift = bits * (1 + 2 * own)
-    moves = []
-    for tag in choices:
-        if tag == 0:
-            mine = seen + 1 if 0 <= seen <= n else 0
-        else:
-            mine = 0 if tag == seen or tag == special else 1
-        if own < 0 and mine:
-            continue
-        fields = max(used, tag) if tag <= n else used
-        for shift, t, need, leaves in neighbours:
-            if need and tag:
-                # a class neighbour has tag's class; a 0 neighbour has now
-                # seen [n], a second class, or its first
-                met = t or tag == special or (need > 1 and need != tag + 1)
-                need = 0 if met else tag + 1
-            if leaves:
-                if need:
-                    break
-            else:
-                fields |= t << shift | need << (shift + bits)
-        else:
-            if own >= 0:
-                fields |= tag << own_shift | mine << (own_shift + bits)
-            moves.append((tag, fields))
-    return tuple(moves)
-
-
 def _frontier_min_weight(
-    deadline: _Deadline, steps: list[tuple[int, int, int]], n: int, allow_layer_label: bool
+    deadline: _Deadline, steps: list[tuple[int, int, int]], width: int, n: int, allow_layer_label: bool
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by frontier DP.
 
-    ``steps`` is the ``_frontier_steps`` plan of the graph's adjacency rows,
-    and without the [n] label no vertex may be isolated.
+    ``(width, steps)`` is the ``_frontier_steps`` plan of the graph's
+    adjacency rows, and without the [n] label no vertex may be isolated.
     """
-    m = len(steps)
     special = special_tag(n)
     bits = special.bit_length()  # ``used``, a tag and a need each fit
     field = (1 << bits) - 1
     both = (1 << (2 * bits)) - 1  # a slot's tag and need
-    unit = 1 << (bits * m)  # one unit of weight, above every tag digit
-    cost = [0] + [unit] * n + [n * unit]
-    # (near, leaving, own) -> {a state's used and near fields -> moves}
-    tables: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
-    states = {0: 0}  # packed state -> least score
-    for v, step in enumerate(steps):
-        deadline.tick()
-        near, leaving, own = step
-        local = field
+    # a state holds ``used``, in 0..n, and for each slot a tag and its need:
+    # 0 and one of n + 2 needs, a class and one of 2, or [n]; so a layer holds
+    # at most 2 ** ranks states
+    ranks = ((n + 1) * (3 * n + 3) ** width).bit_length()
+    sizes = -1 << (ranks + bits)
+    next_rank = 1 << bits
+    # each tag's weight and digit, as the layer engine adds them
+    adds = [tag | cost << (ranks + bits) for tag, cost in enumerate([0] + [1] * n + [n])]
+    # (near, leaving, own) -> (the fields it reads, those it keeps,
+    # {a state's used and near fields -> moves})
+    tables: dict[tuple[int, int, int], tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]] = {}
+
+    def tag_moves(key: int, near: int, leaving: int, own: int) -> tuple[tuple[int, int], ...]:
+        """The tags a vertex may take from one packed state, each with the fields it leaves.
+
+        ``key`` holds a state's ``used`` and the fields of the slots whose
+        bits are in ``near``, those of the vertex's tagged neighbours.  The
+        neighbours in the slots of ``leaving`` leave the frontier, and the
+        vertex takes slot ``own``, or leaves at once if ``own`` is -1.  Each
+        move is ``(adds[tag], fields)``, in tag order: ``fields`` holds the
+        new ``used`` and the new fields of ``near`` and ``own``, with the
+        leaving ones cleared.  A tag that leaves a vertex with an unmet need
+        has no move.
+        """
+        used = key & field
+        # ``seen``: the one nonzero tag among tagged neighbours, 0 if there is
+        # none, -1 if there are several
+        seen = 0
+        neighbours = []  # (shift, tag, need, leaves) for each slot in ``near``
         scan = near
         while scan:
             low = scan & -scan
             scan ^= low
-            local |= both << (bits * (2 * low.bit_length() - 1))
-        keep = ~(local | both << (bits * (1 + 2 * own))) if own >= 0 else ~local
-        table = tables.setdefault(step, {})
-        place = 1 << (bits * (m - 1 - v))
-        gain = [cost[tag] + tag * place for tag in range(special + 1)]
-        after: dict[int, int] = {}
-        for state, score in states.items():
+            shift = bits * (2 * low.bit_length() - 1)
+            t = (key >> shift) & field
+            neighbours.append((shift, t, (key >> (shift + bits)) & field, leaving & low))
+            if t and t != seen:
+                seen = -1 if seen else t
+        if seen == 0:
+            choices = list(range(min(used + 1, n) + 1)) + ([special] if allow_layer_label else [])
+        elif 0 < seen <= n:
+            choices = [0, seen]
+        else:
+            choices = [0]
+        own_shift = bits * (1 + 2 * own)
+        moves = []
+        for tag in choices:
+            if tag == 0:
+                mine = seen + 1 if 0 <= seen <= n else 0
+            else:
+                mine = 0 if tag == seen or tag == special else 1
+            if own < 0 and mine:
+                continue
+            fields = max(used, tag) if tag <= n else used
+            for shift, t, need, leaves in neighbours:
+                if need and tag:
+                    # a class neighbour has tag's class; a 0 neighbour has now
+                    # seen [n], a second class, or its first
+                    met = t or tag == special or (need > 1 and need != tag + 1)
+                    need = 0 if met else tag + 1
+                if leaves:
+                    if need:
+                        break
+                else:
+                    fields |= t << shift | need << (shift + bits)
+            else:
+                if own >= 0:
+                    fields |= tag << own_shift | mine << (own_shift + bits)
+                moves.append((adds[tag], fields))
+        return tuple(moves)
+
+    def step_layer(step: tuple[int, int, int], sources: Iterable[tuple[int, int]], rank: int) -> dict[int, int]:
+        near, leaving, own = step
+        plan = tables.get(step)
+        if plan is None:
+            local = field | sum(both << bits * (1 + 2 * s) for s in range(near.bit_length()) if near >> s & 1)
+            keep = ~(local | both << (bits * (1 + 2 * own))) if own >= 0 else ~local
+            plan = tables[step] = local, keep, {}
+        local, keep, table = plan
+        after: dict[int, int] = {}  # state -> its winner, in rank order
+        for state, entry in sources:
+            base = (entry & sizes) + rank
+            rank += next_rank
             key = state & local
             moves = table.get(key)
             if moves is None:
-                moves = table[key] = _tag_moves(key, n, allow_layer_label, bits, near, leaving, own)
+                moves = table[key] = tag_moves(key, near, leaving, own)
             rest = state & keep
-            for tag, fields in moves:
+            for add, fields in moves:
                 nxt = rest | fields
-                new = score + gain[tag]
-                old = after.get(nxt)
-                if old is None or new < old:
+                new = base + add
+                old = after.setdefault(nxt, new)
+                if new < old:
+                    del after[nxt]
                     after[nxt] = new
-        states = after
-    score = min(states.values())
-    tags = tuple((score >> (bits * (m - 1 - v))) & field for v in range(m))
-    return tags, score >> (bits * m)
+        return after
+
+    value, digits = _frontier_layers(deadline, steps, ranks, bits, step_layer)
+    return tuple(digits >> (bits * v) & field for v in range(len(steps))), value
 
 
 def _search_min_weight(
@@ -607,15 +605,18 @@ def minimize_weight(
     Graphs whose frontier width in natural vertex order is at most 2
     (paths, cycles, stars), of any order, take a frontier dynamic program
     over the plan that ``invariants._frontier_steps`` builds in one pass
-    (which stops once the width passes 2), whose
-    states are packed into ints and whose state count follows ``n`` and the
-    width, not the order; every other graph takes the branch-and-bound,
-    whose time is exponential in the order.  Once a vertex is tagged, the
+    (which stops once the width passes 2), on the layer engine the cover
+    DP runs on; its states are packed into ints, its state count follows
+    ``n`` and the width, not the order, and where its layers recur it
+    copies them.  Every other graph takes the branch-and-bound, whose time
+    is exponential in the order.  Once a vertex is tagged, the
     branch-and-bound cuts the branch when some tagged vertex can no longer
     meet condition 2 or 4 from the tags its untagged neighbours may still
     take, or, once it has none left, does not meet it; that one test checks
-    both conditions, and a branch it cuts holds no legal labelling.  Both
-    routes read the budget at every step and return the same labelling.
+    both conditions, and a branch it cuts holds no legal labelling.  The DP
+    reads the budget at every vertex it works out and every block it
+    copies, the branch-and-bound at every node, and both routes return the
+    same labelling.
     """
     if n < 2:
         raise ValueError("the complete factor must have order at least 2")
@@ -631,9 +632,9 @@ def minimize_weight(
                     "no labelling is legal"
                 )
     deadline = _Deadline(limits.budget_secs)
-    steps = _frontier_steps(adj, _DP_MAX_WIDTH, deadline)[1]
+    width, steps = _frontier_steps(adj, _DP_MAX_WIDTH, deadline)
     if steps is not None:
-        tags, value = _frontier_min_weight(deadline, steps, n, allow_layer_label)
+        tags, value = _frontier_min_weight(deadline, steps, width, n, allow_layer_label)
     else:
         tags, value = _search_min_weight(deadline, adj, n, allow_layer_label)
     return Labelling(n, tags), value

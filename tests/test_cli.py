@@ -729,8 +729,10 @@ class TestInputEdgePaths:
             ("compute --graph path:4 --budget-secs 0", None, 2, "--budget-secs must be positive"),
             ("reproduce thm12 --n 0", None, 2, "--n must be positive"),
             ("reproduce table1 --budget-secs 1e-9", None, 3, "aborted: solver budget exhausted"),
+            ("compute --graph path:4 --budget-secs nan", None, 2, "--budget-secs must be positive"),
+            ("compute --graph path:4 --budget-secs inf", None, 2, "--budget-secs must be finite"),
         ],
-        ids=["cap", "env-cap", "workers", "budget", "thm12-n", "table1-budget"],
+        ids=["cap", "env-cap", "workers", "budget", "thm12-n", "table1-budget", "budget-nan", "budget-inf"],
     )
     def test_refused_setting_prints_only_its_reason(
         self, capsys, monkeypatch, argv, env_cap, code, message
@@ -760,7 +762,23 @@ class TestInputEdgePaths:
         monkeypatch.setenv("IDOMLAB_CAP", "0")
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2 and out == ""
-        assert err.startswith("usage: ") and "unrecognized arguments: --" in err
+        assert err.startswith(f"usage: idomlab {argv.split()[0]} ") and "unrecognized arguments: --" in err
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            ("reproduce table1 --n 5 --workers 3", "--n"),
+            ("reproduce table1 --workers 1", "--workers"),
+            ("reproduce bounds4 --n 5", "--n"),
+            ("reproduce thm12 --n 3 --workers 2", "--workers"),
+        ],
+        ids=["table1-both", "table1-workers", "bounds4-n", "thm12-workers"],
+    )
+    def test_option_a_reproduce_target_does_not_read_is_refused(self, capsys, argv, refused):
+        code, out, err = run_cli(capsys, *argv.split())
+        target = argv.split()[1]
+        assert code == 2 and out == ""
+        assert err.startswith("usage: idomlab reproduce ") and f"{target} does not read {refused}\n" in err
 
     def test_export_does_not_read_the_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("IDOMLAB_CAP", "0")

@@ -205,7 +205,7 @@ class TestFamilySpecs:
         assert witness is None
 
     def test_parse_errors(self):
-        for bad in ("nosuch:3", "cycle", "cycle:x", "kbip:3"):
+        for bad in ("nosuch:3", "cycle", "cycle:x", "kbip:3", "path:\u0663", "path: +4"):
             with pytest.raises(ValueError):
                 parse_family(bad)
 

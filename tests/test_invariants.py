@@ -563,8 +563,8 @@ def narrow_graph(rng, n, band, p):
     return build_graph(n, edges)
 
 
-class TestLayerMemo:
-    """The memoized DP against the score-carrying reference DP, value and witness bits."""
+class TestScoredReference:
+    """The frontier DP against the score-carrying reference DP, value and witness bits."""
 
     @pytest.mark.parametrize("name", COVER_INVARIANTS)
     def test_matches_reference_on_paths_and_cycles(self, name):

@@ -413,6 +413,34 @@ class CountingDeadline(labelling._Deadline):
         self.ticks += 1
 
 
+class TestFrontierDPAtScale:
+    """The DP on the layer engine: repeated blocks copied, and long paths at large n."""
+
+    @pytest.mark.parametrize("spec", ["path:3000", "cycle:3000"])
+    def test_repeated_blocks_are_copied(self, spec):
+        """At n = 2 the layers recur, and the DP copies all but a few periods.
+
+        The DP reads the clock once per vertex it works out and once per block
+        it copies, so it reads it fewer than 50 times here, where it once read
+        it at every vertex.  The plan pass that ``minimize_weight`` runs first
+        reads it 20 more times.
+        """
+        g = build_family(spec)
+        width, steps = labelling._frontier_steps(g.adj, labelling._DP_MAX_WIDTH, CountingDeadline())
+        deadline = CountingDeadline()
+        tags, value = labelling._frontier_min_weight(deadline, steps, width, 2, True)
+        assert deadline.ticks < 50
+        assert (Labelling(2, tags), value) == minimize_weight(g, 2, SolverLimits(vertex_cap=g.n))
+        assert check_legal(g, Labelling(2, tags)).legal
+        assert value == formula_value(spec.split(":")[0], g.n, 2)
+
+    def test_long_path_with_many_classes(self):
+        g = make_path(1000)
+        lab, value = minimize_weight(g, 20, SolverLimits(vertex_cap=g.n))
+        assert check_legal(g, lab).legal
+        assert value == weight(lab) == formula_value("path", 1000, 20)
+
+
 class TestSearch:
     """The branch-and-bound with its look-ahead."""
 
