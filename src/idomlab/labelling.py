@@ -21,6 +21,7 @@ the constructed set, and its minimum over legal labellings equals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .graph import Graph, VertexSet, _bits_of
@@ -257,8 +258,8 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # Two routes tag the vertices in index order and return the same optimum: the
 # least weight and, among labellings of that weight, the lexicographically
 # least tags under 0 < classes < [n].  Classes are interchangeable, so both
-# only ever open class ``c + 1`` after class ``c`` has been used
-# (first-occurrence canonical form); this collapses the n! label symmetry.
+# keep to first-occurrence canonical form, where class ``c + 1`` first
+# appears after class ``c``; this collapses the n! label symmetry.
 # Conditions 1 and 3 are monotone and checked as each edge completes;
 # conditions 2 and 4 are only decided once a vertex's closed neighbourhood
 # is fully labelled.
@@ -289,8 +290,20 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # tagged, so a cut branch holds no legal labelling: the search reaches the
 # legal leaves in order and returns the least optimum.  On dense graphs,
 # where a vertex's neighbourhood completes only near the last vertex, this
-# is what bounds the search: ``cocktail:8`` x K_4 takes 106 nodes instead
-# of 49,475.
+# is what bounds the search: without the false-twin rule below,
+# ``cocktail:8`` x K_4 takes 106 nodes instead of 49,475.
+#
+# Two vertices ``u`` and ``v`` with equal adjacency rows (false twins) are not
+# adjacent, and for each ``k`` the product vertices ``(u, k)`` and ``(v, k)``
+# are false twins in G x K_n: a maximal independent set that holds one holds
+# the other, or the other's neighbour in the set would neighbour the first.
+# So every legal labelling gives false twins one tag, and the search gives a
+# vertex whose row equals an earlier vertex's the tag of the first vertex
+# with that row, and tries no other.  Blow-ups, graphs made of false-twin
+# classes (the structure behind neighbourhood diversity, Lampis, Algorithmica
+# 2012), then branch once per class, not once per vertex: on the paper's
+# ``X:m`` and kn-route's ``kbip:a,a`` and ``cocktail:r``, ``cocktail:8`` x K_4
+# takes 56 nodes and ``kbip:6,6`` x K_3 31, against 106 and 404.
 #
 # The frontier DP (``_frontier_min_weight``) is the [sigma, rho]
 # vertex-partitioning DP of Telle and Proskurowski (SIAM J. Discrete Math.
@@ -299,28 +312,47 @@ def from_independent_set(product: ProductGraph, independent: VertexSet) -> Label
 # (``invariants._frontier_layers``): the frontier is the tagged vertices that
 # still have an untagged neighbour, each in a slot the plan assigns, and each
 # step holds the slot bits of the vertex's tagged neighbours and of those that
-# leave, and the vertex's own slot.  A state is ``used``, the number of
-# classes opened, plus each frontier vertex's tag and pending need: a class
-# vertex waits for a same-class neighbour (condition 2); a 0 vertex has seen
-# no class yet, or one class ``c`` (condition 4); an [n] vertex needs nothing.
-# A vertex must need nothing when it leaves the frontier.  The engine keeps
-# for each state the prefix of least weight and, among those, of least tags,
-# with the tag as the choice digit, and backtracks the least optimum's tags
-# from the last layer, which holds one state per ``used``.  The number of
-# states follows ``n`` and the frontier width, not the order, and so does the
-# cost of comparing two prefixes.  Where the layers recur, as on paths and
-# cycles at n = 2, the engine copies them.
+# leave, and the vertex's own slot.  A state is each frontier vertex's tag
+# and pending need: a class vertex waits for a same-class neighbour
+# (condition 2); a 0 vertex has seen no class yet, or one class ``c``
+# (condition 4); an [n] vertex needs nothing.  A vertex must need nothing
+# when it leaves the frontier.  The engine keeps for each state the prefix of
+# least weight and, among those, of least tags, with the tag as the choice
+# digit, and backtracks the least optimum's tags from the last layer, whose
+# one state is the empty frontier.
+#
+# The state keeps no count of the classes used so far.  Call a class held
+# when a frontier vertex has it as its tag, or a frontier 0 vertex has seen
+# it as its one class.  A vertex none of whose tagged neighbours has a class
+# may take 0, [n], a held class, or the least class not held if that is at
+# most n.  This loses no least optimum.  Suppose the least canonical optimum
+# gives a vertex ``v`` a class ``c`` that is not held, and a lesser class
+# ``c'`` is not held either.  Swap ``c`` and ``c'`` on ``v`` and every later
+# vertex.  An edge between an earlier and a later vertex has a frontier
+# vertex at its earlier end, whose tag and seen class are neither ``c`` nor
+# ``c'``, so the four conditions hold as before, and the weight is the same.
+# As ``c`` is at most one more than the classes used before ``v``, ``c'`` is
+# one of them, so the swapped labelling is first-occurrence up to ``v``, and
+# putting its later classes in first-occurrence order gives a lesser
+# canonical optimum, a contradiction.  The held classes are among those used
+# so far, so the least class not held is at most one more than their count,
+# and every labelling the DP reaches is in first-occurrence form.  The
+# choices depend on the state alone, so the DP returns the least canonical
+# optimum, with the actual class numbers in its states.  Each frontier
+# vertex holds at most one class, so no class exceeds the width plus one:
+# the number of states follows the width, not ``n`` or the order, and the
+# layers of paths and cycles recur at every n, where the engine copies them.
 #
 # A state is packed into one int of fixed-width fields of ``b`` bits, ``b``
-# the bit length of the [n] tag ``n + 1``: ``used`` in the lowest field, then
-# for each frontier slot ``s`` its vertex's tag at bit ``b * (1 + 2s)`` and
-# its need plus one at bit ``b * (2 + 2s)``, so a met need and a free slot
-# read 0.  A vertex's moves depend only on ``used`` and the fields of its
-# tagged neighbours' slots, so each distinct such key is worked out once
-# (``tag_moves``) into the tags the vertex may take, each with the new fields
-# to OR into the rest of the state and the tag's weight and digit as the
-# engine adds them; vertices that see the same slots share one table, which on
-# a path or a cycle is nearly all of them.
+# the bit length of the [n] tag ``n + 1``: for each frontier slot ``s`` its
+# vertex's tag at bit ``2bs`` and its need plus one at bit ``b * (2s + 1)``,
+# so a met need and a free slot read 0.  A vertex's moves depend only on the
+# fields of its tagged neighbours' slots and on the held classes, so each
+# distinct such key is worked out once (``tag_moves``) into the tags the
+# vertex may take, each with the new fields to OR into the rest of the state
+# and the tag's weight and digit as the engine adds them.  Each step keeps a
+# table from a state to its moves, shared by the vertices that see the same
+# slots, which on a path or a cycle is nearly all of them.
 #
 # ``minimize_weight`` builds a graph's frontier plan with
 # ``invariants._frontier_steps``, which stops once the natural-order width
@@ -343,34 +375,43 @@ def _frontier_min_weight(
     adjacency rows, and without the [n] label no vertex may be isolated.
     """
     special = special_tag(n)
-    bits = special.bit_length()  # ``used``, a tag and a need each fit
+    bits = special.bit_length()  # a tag and a need each fit
     field = (1 << bits) - 1
     both = (1 << (2 * bits)) - 1  # a slot's tag and need
-    # a state holds ``used``, in 0..n, and for each slot a tag and its need:
-    # 0 and one of n + 2 needs, a class and one of 2, or [n]; so a layer holds
-    # at most 2 ** ranks states
-    ranks = ((n + 1) * (3 * n + 3) ** width).bit_length()
+    # a state holds for each slot a tag and its need: 0 and one of n + 2
+    # needs, a class and one of 2, or [n]; so a layer holds at most 2 ** ranks
+    # states
+    ranks = ((3 * n + 3) ** width).bit_length()
     sizes = -1 << (ranks + bits)
     next_rank = 1 << bits
     # each tag's weight and digit, as the layer engine adds them
     adds = [tag | cost << (ranks + bits) for tag, cost in enumerate([0] + [1] * n + [n])]
-    # (near, leaving, own) -> (the fields it reads, those it keeps,
-    # {a state's used and near fields -> moves})
+    # (near, leaving, own) -> (the fields it reads, those it keeps, {state -> moves})
     tables: dict[tuple[int, int, int], tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]] = {}
 
-    def tag_moves(key: int, near: int, leaving: int, own: int) -> tuple[tuple[int, int], ...]:
+    def held_of(state: int) -> int:
+        """The classes a state holds, as bits: its vertices' classes and its 0 vertices' seen classes."""
+        held = 0
+        while state:
+            t, need = state & field, state >> bits & field
+            if 0 < t <= n or (not t and need > 1):
+                held |= 1 << (t or need - 1)
+            state >>= 2 * bits
+        return held
+
+    @cache
+    def tag_moves(key: int, held: int, near: int, leaving: int, own: int) -> tuple[tuple[int, int], ...]:
         """The tags a vertex may take from one packed state, each with the fields it leaves.
 
-        ``key`` holds a state's ``used`` and the fields of the slots whose
-        bits are in ``near``, those of the vertex's tagged neighbours.  The
-        neighbours in the slots of ``leaving`` leave the frontier, and the
-        vertex takes slot ``own``, or leaves at once if ``own`` is -1.  Each
-        move is ``(adds[tag], fields)``, in tag order: ``fields`` holds the
-        new ``used`` and the new fields of ``near`` and ``own``, with the
-        leaving ones cleared.  A tag that leaves a vertex with an unmet need
-        has no move.
+        ``key`` holds the fields of the slots whose bits are in ``near``,
+        those of the vertex's tagged neighbours, and ``held`` the classes
+        the frontier holds.  The neighbours in the slots of ``leaving``
+        leave the frontier, and the vertex takes slot ``own``, or leaves at
+        once if ``own`` is -1.  Each move is ``(adds[tag], fields)``, in tag
+        order: ``fields`` holds the new fields of ``near`` and ``own``, with
+        the leaving ones cleared.  A tag that leaves a vertex with an unmet
+        need has no move.
         """
-        used = key & field
         # ``seen``: the one nonzero tag among tagged neighbours, 0 if there is
         # none, -1 if there are several
         seen = 0
@@ -379,18 +420,19 @@ def _frontier_min_weight(
         while scan:
             low = scan & -scan
             scan ^= low
-            shift = bits * (2 * low.bit_length() - 1)
+            shift = 2 * bits * (low.bit_length() - 1)
             t = (key >> shift) & field
             neighbours.append((shift, t, (key >> (shift + bits)) & field, leaving & low))
             if t and t != seen:
                 seen = -1 if seen else t
         if seen == 0:
-            choices = list(range(min(used + 1, n) + 1)) + ([special] if allow_layer_label else [])
+            held |= ~held & (held + 2)  # and the least class not held
+            choices = [c for c in range(n + 1) if held >> c & 1 or not c] + [special] * allow_layer_label
         elif 0 < seen <= n:
             choices = [0, seen]
         else:
             choices = [0]
-        own_shift = bits * (1 + 2 * own)
+        own_shift = 2 * bits * own
         moves = []
         for tag in choices:
             if tag == 0:
@@ -399,7 +441,7 @@ def _frontier_min_weight(
                 mine = 0 if tag == seen or tag == special else 1
             if own < 0 and mine:
                 continue
-            fields = max(used, tag) if tag <= n else used
+            fields = 0
             for shift, t, need, leaves in neighbours:
                 if need and tag:
                     # a class neighbour has tag's class; a 0 neighbour has now
@@ -421,18 +463,17 @@ def _frontier_min_weight(
         near, leaving, own = step
         plan = tables.get(step)
         if plan is None:
-            local = field | sum(both << bits * (1 + 2 * s) for s in range(near.bit_length()) if near >> s & 1)
-            keep = ~(local | both << (bits * (1 + 2 * own))) if own >= 0 else ~local
+            local = sum(both << 2 * bits * s for s in range(near.bit_length()) if near >> s & 1)
+            keep = ~(local | both << (2 * bits * own)) if own >= 0 else ~local
             plan = tables[step] = local, keep, {}
         local, keep, table = plan
         after: dict[int, int] = {}  # state -> its winner, in rank order
         for state, entry in sources:
             base = (entry & sizes) + rank
             rank += next_rank
-            key = state & local
-            moves = table.get(key)
+            moves = table.get(state)
             if moves is None:
-                moves = table[key] = tag_moves(key, near, leaving, own)
+                moves = table[state] = tag_moves(state & local, held_of(state), near, leaving, own)
             rest = state & keep
             for add, fields in moves:
                 nxt = rest | fields
@@ -477,6 +518,9 @@ def _search_min_weight(
         for w in _bits_of(adj[v] & ~done):
             near |= adj[w] & done
         loud[v] = near & checked
+
+    # ``twin[v]``: the first vertex whose row is v's, whose tag v's must equal
+    twin = [adj.index(row) for row in adj]
 
     # start above a labelling that always exists: every non-isolated vertex
     # in class 1, isolated vertices labelled [n]
@@ -571,6 +615,10 @@ def _search_min_weight(
         if v == m:
             best_weight, best_tags = partial, tuple(tags)
             continue
+        if twin[v] < v:
+            tag = tags[twin[v]]
+            stack.append((v, tag, partial + (n if tag == special else min(tag, 1)), used))
+            continue
         # monotone legality against already-labelled neighbours: ``seen`` is
         # their one nonzero tag, 0 if there is none, -1 if there are several
         beside = below[v] & ~by_tag[0]
@@ -606,10 +654,13 @@ def minimize_weight(
     (paths, cycles, stars), of any order, take a frontier dynamic program
     over the plan that ``invariants._frontier_steps`` builds in one pass
     (which stops once the width passes 2), on the layer engine the cover
-    DP runs on; its states are packed into ints, its state count follows
-    ``n`` and the width, not the order, and where its layers recur it
-    copies them.  Every other graph takes the branch-and-bound, whose time
-    is exponential in the order.  Once a vertex is tagged, the
+    DP runs on; its states are packed into ints and keep no count of the
+    classes used, so their number follows the width, not ``n`` or the
+    order, and on paths and cycles its layers recur and are copied.  Every
+    other graph takes the branch-and-bound, whose time is exponential in
+    the number of vertices with distinct adjacency rows: a vertex whose row
+    equals an earlier vertex's (a false twin) takes that vertex's tag, as in
+    every legal labelling.  Once a vertex is tagged, the
     branch-and-bound cuts the branch when some tagged vertex can no longer
     meet condition 2 or 4 from the tags its untagged neighbours may still
     take, or, once it has none left, does not meet it; that one test checks

@@ -585,16 +585,18 @@ def reference_max_independent(graph: Graph, deadline: _Deadline) -> tuple[int, i
 
 # The labelling branch-and-bound as it stood when conditions 2 and 4 had
 # two checks: ``neighbourhood_ok`` once a vertex's closed neighbourhood is
-# tagged, and the look-ahead ``stuck`` before that.  It is the reference for
-# the search's labellings and node counts.
+# tagged, and the look-ahead ``stuck`` before that, with the search's
+# false-twin rule added.  It is the reference for the search's labellings and
+# node counts.
 
 
 def reference_search_min_weight(
-    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool, last: list[int]
+    deadline: _Deadline, adj: tuple[int, ...], n: int, allow_layer_label: bool, last: list[int], twins: bool = True
 ) -> tuple[tuple[int, ...], int]:
     """Return ``(tags, weight)`` of the least canonical optimum, by branch-and-bound.
 
-    ``last`` is ``reference_last_neighbours(adj)``.
+    ``last`` is ``reference_last_neighbours(adj)``.  ``twins=False`` drops
+    the false-twin rule, and gives the search as it stood before the rule.
     """
     m = len(adj)
     special = special_tag(n)
@@ -622,6 +624,10 @@ def reference_search_min_weight(
             for w in _bits_of(adj[v] & ~done):
                 near |= adj[w] & done
             loud[v] = near & late
+
+    # a vertex whose row equals an earlier vertex's (a false twin) takes the
+    # tag of the first vertex with that row, and no other
+    twin = [adj.index(row) if twins else v for v, row in enumerate(adj)]
 
     # start above a labelling that always exists: every non-isolated vertex
     # in class 1, isolated vertices labelled [n]
@@ -742,6 +748,10 @@ def reference_search_min_weight(
         v += 1
         if v == m:
             best_weight, best_tags = partial, tuple(tags)
+            continue
+        if twin[v] < v:
+            tag = tags[twin[v]]
+            stack.append((v, tag, partial + weight(Labelling(n, (tag,))), used))
             continue
         # monotone legality against already-labelled neighbours: ``seen`` is
         # their one nonzero tag, 0 if there is none, -1 if there are several

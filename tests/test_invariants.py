@@ -922,19 +922,22 @@ class TestPlanCopy:
                 _frontier_min_cover(deadline, steps, width, *COVER_FACTS[name])
                 assert deadline.ticks < 50, (g.n, name, deadline.ticks)
 
-    def test_packed_candidates_fit_up_to_width_fourteen(self):
-        """The DP packs each candidate into a signed 64-bit entry, which holds up to width 14.
+    def test_wide_band_graphs_match_the_search(self):
+        """The DP's entries are Python ints, so its width is bounded by its states alone.
 
-        Bits below a candidate's size: 4 * 14 + 1 = 57, leaving sizes in
-        -64..63; at width 15 (61 bits) gamma overflows on this band graph.
+        The DP once packed each candidate into a signed 64-bit entry, which
+        held up to width 14; at width 15 gamma overflowed on the band graph
+        below.  Band graphs of widths 14 and 15 give the search's least
+        optimum for i and gamma.
         """
         assert invariants._DP_MAX_WIDTH <= 14
-        g = build_graph(60, [(u, v) for v in range(60) for u in range(max(0, v - 14), v)])
-        width, steps = _frontier_steps(g.adj, 14, _Deadline(None))
-        assert width == 14
-        for name in ("i", "gamma"):
-            found = _frontier_min_cover(_Deadline(None), steps, width, *COVER_FACTS[name])
-            assert found == forced_search(g, name)
+        for band in (14, 15):
+            g = build_graph(60, [(u, v) for v in range(60) for u in range(max(0, v - band), v)])
+            width, steps = _frontier_steps(g.adj, band, _Deadline(None))
+            assert width == band
+            for name in ("i", "gamma"):
+                found = _frontier_min_cover(_Deadline(None), steps, width, *COVER_FACTS[name])
+                assert found == forced_search(g, name)
 
 
 class TestEnumeration:

@@ -293,10 +293,11 @@ class TestFrontierDP:
 
     @pytest.mark.parametrize("allow_layer_label", [True, False])
     def test_matches_branch_and_bound_up_to_order_six(self, allow_layer_label):
+        """Up to n = 5, where the DP's classes could reach n but stay within the width plus one."""
         refused = 0
         for order in range(7):
             for g in small_graphs(order):
-                for n in (2, 3, 4):
+                for n in (2, 3, 4, 5):
                     dp = routed("dp", g, n, allow_layer_label)
                     assert dp == routed("search", g, n, allow_layer_label)
                     refused += isinstance(dp, str)
@@ -418,21 +419,22 @@ class TestFrontierDPAtScale:
 
     @pytest.mark.parametrize("spec", ["path:3000", "cycle:3000"])
     def test_repeated_blocks_are_copied(self, spec):
-        """At n = 2 the layers recur, and the DP copies all but a few periods.
+        """At every n the layers recur, and the DP copies all but a few periods.
 
         The DP reads the clock once per vertex it works out and once per block
-        it copies, so it reads it fewer than 50 times here, where it once read
-        it at every vertex.  The plan pass that ``minimize_weight`` runs first
-        reads it 20 more times.
+        it copies, so it reads it fewer than 50 times here, at n = 20 as at
+        n = 2, where it once read it at every vertex.  The plan pass that
+        ``minimize_weight`` runs first reads it 20 more times.
         """
         g = build_family(spec)
         width, steps = labelling._frontier_steps(g.adj, labelling._DP_MAX_WIDTH, CountingDeadline())
-        deadline = CountingDeadline()
-        tags, value = labelling._frontier_min_weight(deadline, steps, width, 2, True)
-        assert deadline.ticks < 50
-        assert (Labelling(2, tags), value) == minimize_weight(g, 2, SolverLimits(vertex_cap=g.n))
-        assert check_legal(g, Labelling(2, tags)).legal
-        assert value == formula_value(spec.split(":")[0], g.n, 2)
+        for n in (2, 3, 20):
+            deadline = CountingDeadline()
+            tags, value = labelling._frontier_min_weight(deadline, steps, width, n, True)
+            assert deadline.ticks < 50, (n, deadline.ticks)
+            assert (Labelling(n, tags), value) == minimize_weight(g, n, SolverLimits(vertex_cap=g.n))
+            assert check_legal(g, Labelling(n, tags)).legal
+            assert value == formula_value(spec.split(":")[0], g.n, n)
 
     def test_long_path_with_many_classes(self):
         g = make_path(1000)
@@ -458,6 +460,40 @@ class TestSearch:
             assert runs[0] == runs[1], (g.adj, n, allow_layer_label)
             cases += 1
         assert cases == 1769
+
+    def test_false_twins_match_the_search_without_the_rule(self):
+        """Blow-ups: each vertex of every graph of order up to four becomes 1 to 3 false twins.
+
+        Each graph is blown up four times, with its vertices shuffled, so a
+        twin may come before or after the other vertices of its class.  Each
+        answer equals that of the reference search without the false-twin
+        rule, and the brute-force least labelling where the blow-up has at
+        most six vertices.
+        """
+        rng = random.Random(29)
+        cases = 0
+        for order in range(1, 5):
+            for g in (g for g in small_graphs(order) for _ in range(4)):
+                copies = [(v, k) for v in range(order) for k in range(rng.randint(1, 3))]
+                rng.shuffle(copies)
+                edges = [
+                    (a, b)
+                    for a, (u, _) in enumerate(copies)
+                    for b, (w, _) in enumerate(copies)
+                    if a < b and g.adj[u] >> w & 1
+                ]
+                blown = build_graph(len(copies), edges)
+                for n in (2, 3, 4):
+                    for allow_layer_label in (True, False) if all(blown.adj) else (True,):
+                        last = reference_last_neighbours(blown.adj)
+                        found = labelling._search_min_weight(CountingDeadline(), blown.adj, n, allow_layer_label)
+                        assert found == reference_search_min_weight(
+                            CountingDeadline(), blown.adj, n, allow_layer_label, last, twins=False
+                        ), (blown.adj, n, allow_layer_label)
+                        if allow_layer_label and blown.n <= 6 and n <= 3:
+                            assert found[::-1] == brute_least_labelling(blown, n)
+                        cases += 1
+        assert cases == 336
 
     @pytest.mark.parametrize("spec", KN_DENSE_FACTORS)
     def test_dense_factors_match_the_product(self, spec):
