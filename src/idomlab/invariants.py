@@ -308,12 +308,15 @@ def _cover_leaves(
 # their winners' ints, in rank order.  Costs count from the source layer's
 # first entry, so the first entries' costs add up to the cost of the last
 # layer's first entry, and one backtrack reads the digits from the
-# back-pointers, from the last layer's least entry down.  Equal tuples get one
+# back-pointers, from the last layer's least entry down, into a store that
+# keeps one digit per vertex: a byte, or a list item where a digit passes 255.
+# Each DP reads the store as it is: the labelling DP's tags are its items, and
+# the cover DP's members are its bytes read as text.  Equal tuples get one
 # layer id, and the next layer depends only on a layer's tuples and the plan
 # step.  Layers that differ only in their back-pointers or in the offset of
 # their costs get two ids but have equal successors, so a repeat is found one
-# vertex later.  Memory: a vertex stores one layer id, and a new layer two
-# ints per state.
+# vertex later.  Memory: a vertex stores one layer id and its digit, and a new
+# layer two ints per state.
 #
 # Once the layer before ``v`` is the layer before an earlier ``v'`` and the
 # ``p = v - v'`` steps from ``v`` are those from ``v'``, the next ``p``
@@ -325,7 +328,7 @@ def _cover_leaves(
 # ``P_m x K_n`` and ``C_m x K_n`` all but the first few periods.  The
 # backtrack does the same in reverse: within a copied stretch, once the rank
 # at a block boundary recurs, the blocks below repeat the digits and costs of
-# the blocks between, and are filled in at once.
+# the blocks between, and are filled in at once, the digits by one slice copy.
 
 # Route to the DP from this order and at most this natural-order width.
 # Both routes timed on every cover solve of one pass of the paper's
@@ -411,10 +414,11 @@ def _frontier_steps(
     neighbour, and ``steps`` holds one step per vertex in index order.  Step
     ``v`` is ``(near, leaving, own)``: ``near`` has the bit of the slot of
     each frontier neighbour of ``v``, ``leaving`` that of each frontier
-    vertex whose last neighbour is ``v``, and ``own`` is the slot ``v``
-    takes, or -1 when no later vertex neighbours it.  Every slot is below
-    ``width``.  Equal steps are one tuple.  The pass stops as soon as the
-    width passes ``cap``, and then returns ``(cap + 1, None)``.
+    vertex whose last neighbour is ``v``, so ``leaving & ~near`` is 0, and
+    ``own`` is the slot ``v`` takes, or -1 when no later vertex neighbours
+    it.  Every slot is below ``width``.  Equal steps are one tuple.  The pass
+    stops as soon as the width passes ``cap``, and then returns ``(cap + 1,
+    None)``.
 
     Vertices are worked out one by one, but where a look every
     ``_REPEAT_MAX_PERIOD`` vertices finds the run of a path, one step repeats
@@ -500,7 +504,7 @@ def _frontier_layers(
     rank_bits: int,
     digit_bits: int,
     step_layer: Callable[[tuple[int, int, int], Iterable[tuple[int, int]], int], dict[int, int]],
-) -> tuple[int, int]:
+) -> tuple[int, bytearray | list[int]]:
     """Return ``(cost, digits)`` of the least entry of a frontier DP's last layer.
 
     A layer holds at most ``2 ** rank_bits`` states, and a choice is a
@@ -514,12 +518,12 @@ def _frontier_layers(
     For each successor of each source, in increasing digit order, the step
     puts the base plus ``added cost << field | digit`` into the dict it
     returns, keyed by the successor, unless a lesser entry is there; a state
-    whose entry falls moves to the end.  ``digits`` holds the least
-    optimum's digit for vertex ``v`` at bit ``v * digit_bits``.
+    whose entry falls moves to the end.  ``digits[v]`` is the least
+    optimum's digit for vertex ``v``, in a ``bytearray`` when a digit fits a
+    byte and in a list otherwise.
     """
     field = rank_bits + digit_bits  # above a back-pointer
     sizes = -1 << field
-    next_rank = 1 << digit_bits
     held = [((0,), (0,))]  # each layer id's states and entries, from the empty state's
     layers = {held[0]: 0}  # a layer's states and entries -> its id
     trail: list[int] = []  # the layer id after each vertex
@@ -527,7 +531,6 @@ def _frontier_layers(
     stretches = []  # (lo, hi, p): trail[x] == trail[x - p] for lo <= x < hi
     m = len(steps)
     v = layer = 0
-    after = {0: 0}  # the current layer: each state's entry, in rank order
 
     def repeats(at: int, block: int) -> bool:
         return steps[at : at + block] == steps[at - block : at]
@@ -550,8 +553,8 @@ def _frontier_layers(
                     break
                 before[layer] = v
                 step = steps[v]
-                after = dict(zip(*held[layer]))
-        after = step_layer(step, after.items(), -(held[layer][1][0] & sizes))
+        states, entries = held[layer]
+        after = step_layer(step, zip(states, entries), -(entries[0] & sizes))
         packed = tuple(after), tuple(after.values())
         layer = layers.setdefault(packed, len(held))
         if layer == len(held):
@@ -563,16 +566,17 @@ def _frontier_layers(
     least = min(won)
     rank = won.index(least)
     size = (least & sizes) - (won[0] & sizes)  # the walk adds the first entries' costs
-    digits = 0
+    digit_mask = (1 << digit_bits) - 1
+    digits = bytearray(m) if digit_bits <= 8 else [0] * m
 
     def walk(top: int, stop: int) -> None:
         """Backtrack the vertices from ``top - 1`` down to ``stop``."""
-        nonlocal size, digits, rank
+        nonlocal size, rank
         for x in range(top - 1, stop - 1, -1):
             won = held[trail[x]][1]
             size += won[0] & sizes
             back = won[rank]
-            digits |= (back & next_rank - 1) << x * digit_bits
+            digits[x] = back & digit_mask
             rank = (back & ~sizes) >> digit_bits
 
     v = m
@@ -585,9 +589,9 @@ def _frontier_layers(
                 top, top_size = marks[rank]
                 q = top - v
                 k = (v - lo + p) // q
-                block = q * digit_bits
-                pattern = digits >> v * digit_bits & ((1 << block) - 1)
-                digits |= pattern * (((1 << k * block) - 1) // ((1 << block) - 1)) << (v - k * q) * digit_bits
+                # lo >= p, so v - k * q >= 0 and both slices are k * q long: a
+                # shorter left slice would resize the store, not fail
+                digits[v - k * q : v] = digits[v:top] * k
                 size += k * (size - top_size)
                 v -= k * q
                 break
@@ -596,6 +600,10 @@ def _frontier_layers(
             v -= p
     walk(v, 0)
     return size >> field, digits
+
+
+# the cover DP's digits as the text of its members' bits: 0 ("in") reads "1"
+_IN_BITS = bytes.maketrans(b"\0\1", b"10")
 
 
 def _frontier_min_cover(
@@ -633,14 +641,13 @@ def _frontier_min_cover(
             rank += 2  # the next source's rank, above the one digit bit
             met = state & nearby
             if state & clash == 0 and (met or free):
-                nxt = state | pick
-                if nxt & need == need:
-                    nxt = nxt & keep | own_in | (own_covered if met else 0)
-                    new = base + unit
-                    old = after.setdefault(nxt, new)
-                    if new < old:
-                        del after[nxt]
-                        after[nxt] = new
+                # the plan puts every leaving slot in ``nearby``, so ``pick`` covers all ``need`` asks
+                nxt = (state | pick) & keep | own_in | (own_covered if met else 0)
+                new = base + unit
+                old = after.setdefault(nxt, new)
+                if new < old:
+                    del after[nxt]
+                    after[nxt] = new
             if state & need == need and (met or stays):
                 nxt = state & keep | (own_covered if met else 0)
                 new = base + 1  # digit 1, v left out
@@ -651,8 +658,8 @@ def _frontier_min_cover(
         return after
 
     # a state is chosen | covered << width, so a layer holds at most 4 ** width
-    size, outs = _frontier_layers(deadline, steps, 2 * width, 1, step_layer)
-    return size, outs ^ (1 << len(steps)) - 1
+    size, digits = _frontier_layers(deadline, steps, 2 * width, 1, step_layer)
+    return size, int(digits.translate(_IN_BITS)[::-1] or b"0", 2)
 
 
 def _solve_min_cover(

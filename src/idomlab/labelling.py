@@ -484,8 +484,8 @@ def _frontier_min_weight(
                     after[nxt] = new
         return after
 
-    value, digits = _frontier_layers(deadline, steps, ranks, bits, step_layer)
-    return tuple(digits >> (bits * v) & field for v in range(len(steps))), value
+    value, tags = _frontier_layers(deadline, steps, ranks, bits, step_layer)
+    return tuple(tags), value
 
 
 def _search_min_weight(

@@ -478,6 +478,22 @@ class TestFrontierPlan:
                 assert all(0 <= s < width for s in held)
                 assert near >> width == 0
 
+    def test_leaving_slots_are_near(self):
+        """Every leaving slot is a neighbour's: the cover DP's in-move covers it without a test."""
+        plans = [frontier_steps(rows)[1] for rows in labelled_rows(6)]
+        graphs = [make_path(m) for m in (*range(1, 101), 3000)]
+        graphs += [make_cycle(m) for m in (*range(3, 101), 3000)]
+        graphs += [
+            direct_product(make_path(m), make_complete(n)).graph
+            for n in (1, 2, 3, 4)
+            for m in (*range(1, 31), 301)
+        ]
+        rng = random.Random(2727)
+        graphs += [narrow_graph(rng, rng.randint(0, 300), rng.randint(0, 8), rng.random()) for _ in range(300)]
+        plans += [frontier_steps(g.adj)[1] for g in graphs]
+        for steps in plans:
+            assert all(leaving & ~near == 0 for near, leaving, own in steps)
+
     def test_equal_steps_are_one_tuple(self):
         product = direct_product(make_path(50), make_complete(3)).graph
         for g in (make_path(300), make_cycle(300), product):

@@ -442,6 +442,54 @@ class TestFrontierDPAtScale:
         assert check_legal(g, lab).legal
         assert value == weight(lab) == formula_value("path", 1000, 20)
 
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_path_of_twenty_thousand(self, n):
+        """At 20000 vertices the DP copies all but a few periods and its tags give the closed form."""
+        g = make_path(20000)
+        width, steps = labelling._frontier_steps(g.adj, labelling._DP_MAX_WIDTH, CountingDeadline())
+        deadline = CountingDeadline()
+        tags, value = labelling._frontier_min_weight(deadline, steps, width, n, True)
+        assert deadline.ticks < 60, deadline.ticks
+        assert (Labelling(n, tags), value) == minimize_weight(g, n, SolverLimits(vertex_cap=20000))
+        assert check_legal(g, Labelling(n, tags)).legal
+        assert value == formula_value("path", 20000, n)
+
+    def test_tags_wider_than_a_byte(self, monkeypatch):
+        """From n = 255 the [n] tag n + 1 passes 255, and the engine keeps its tags in a list.
+
+        Paths and cycles of 3 to 40 vertices give the closed form on both
+        sides of that bound, and at n = 255 every graph of order at most 5
+        that the DP takes gives the search's labelling.
+        """
+        stores = []
+        layers = labelling._frontier_layers
+
+        def recorded(*args):
+            cost, digits = layers(*args)
+            stores.append(type(digits))
+            return cost, digits
+
+        monkeypatch.setattr(labelling, "_frontier_layers", recorded)
+        for n, store in ((254, bytearray), (255, list), (300, list)):
+            for m in range(3, 41):
+                for family, g in (("path", make_path(m)), ("cycle", make_cycle(m))):
+                    stores.clear()
+                    lab, value = minimize_weight(g, n, SolverLimits(vertex_cap=40))
+                    assert stores == [store]
+                    assert value == weight(lab) == formula_value(family, m, n)
+        taken = 0
+        for order in range(6):
+            for g in small_graphs(order):
+                width, steps = labelling._frontier_steps(g.adj, labelling._DP_MAX_WIDTH, CountingDeadline())
+                if steps is None:
+                    continue
+                taken += 1
+                for allow_layer_label in (True, False) if all(g.adj) else (True,):
+                    found = labelling._frontier_min_weight(CountingDeadline(), steps, width, 255, allow_layer_label)
+                    expected = labelling._search_min_weight(CountingDeadline(), g.adj, 255, allow_layer_label)
+                    assert found == expected
+        assert taken == 38  # of the 53 graphs of order at most 5
+
 
 class TestSearch:
     """The branch-and-bound with its look-ahead."""
